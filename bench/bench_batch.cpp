@@ -1,18 +1,18 @@
 // Batch-mode compiled execution vs the scalar compiled path (DESIGN.md
 // §5k, EXPERIMENTS.md E14): per-event cost of MonitorSet delivery with the
 // micro-batcher on (SetBatching) against per-event delivery, both running
-// the compiled engine. The batch path buys three things the scalar loop
-// cannot: one stage-0 routing hash per fused key-tuple group per event
-// (instead of one per property), a prefetch pass that issues OpenMap cell
-// and slab-record prefetches a fixed distance ahead, and engine-outer loop
-// order that keeps one engine's bytecode and tables hot across the run.
+// the compiled engine. The batch path buys two things the scalar loop
+// cannot: run folding (a run of filtered events, or of provably inert
+// events while a property holds no live instances, costs one counter bump
+// and one clock advance) and engine-outer loop order that keeps one
+// engine's bytecode and tables hot across the run.
 //
 // Batching is required to be observationally bit-identical to scalar
 // delivery, so every swept configuration is also a differential check —
 // any violation mismatch fails the bench (exit 1).
 //
-// Sweeps: batch window x property count, plus a prefetch-distance ablation
-// at the largest configuration. Emits BENCH_batch.json via JsonReporter.
+// Sweeps: stream x property count x batch window. Emits BENCH_batch.json
+// via JsonReporter.
 // The CI smoke step runs under SWMON_BENCH_TINY and enforces the gate:
 // best batched 13-property ns/event must be <= 0.9x scalar compiled.
 #include <algorithm>
@@ -25,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "monitor/compiled/engine.hpp"
 #include "monitor/monitor_set.hpp"
 #include "properties/catalog.hpp"
 
@@ -41,8 +40,7 @@ const int kLaps = kTiny ? 4 : 40;
 const int kReps = kTiny ? 2 : 3;
 
 /// SWMON_BATCH — the same knob the daemon reads for serial tenants —
-/// names the "deployed" window here: it anchors the prefetch ablation and
-/// is always included in the sweep.
+/// names the "deployed" window here: it is always included in the sweep.
 std::size_t DeployedWindow() {
   const char* s = std::getenv("SWMON_BATCH");
   if (s == nullptr) return 64;
@@ -77,13 +75,12 @@ std::vector<DataplaneEvent> FuzzStream(std::uint64_t seed, std::size_t count) {
   return events;
 }
 
-/// The probe-bound stream batch mode is built for: arrival events over a
-/// large flow population, so every keyed property holds one instance per
-/// distinct flow. At full size the aggregate OpenMap/slab state spans
-/// several MB — past L2, resident in L3 — and per-event cost is dominated
-/// by the stage-0 routing probes all the flow-keyed properties share.
-/// (The fuzz soup above is the opposite regime: tiny key space, state in
-/// L1/L2, cost dominated by pass execution batching cannot reduce.)
+/// The stream batch mode is built for: arrival events over a large flow
+/// population. Flow-keyed properties accumulate instances over a large key
+/// space, while properties keyed on other protocols hold none and fold
+/// whole runs. (The fuzz soup above is the opposite regime: tiny key space,
+/// every property live, cost dominated by pass execution batching cannot
+/// reduce.)
 std::vector<DataplaneEvent> KeyedArrivalStream(std::uint64_t seed,
                                                std::size_t count) {
   Rng rng(seed);
@@ -132,26 +129,18 @@ double BestNsPerEvent(const std::function<void()>& run, std::size_t events) {
 }
 
 /// One measured configuration: MonitorSet delivery of the stream, window 0
-/// = scalar per-event path. prefetch_distance < 0 keeps the engine
-/// default. Construction (and bytecode compilation) sits inside the timed
-/// region like bench_compiled, amortised over the replay laps.
+/// = scalar per-event path. Construction (and bytecode compilation) sits
+/// inside the timed region like bench_compiled, amortised over the replay
+/// laps.
 double TimeSet(const std::vector<Property>& props,
-               const std::vector<DataplaneEvent>& events, std::size_t window,
-               int prefetch_distance) {
+               const std::vector<DataplaneEvent>& events, std::size_t window) {
   MonitorConfig cfg;
   cfg.engine = EngineKind::kCompiled;
   return BestNsPerEvent(
       [&] {
         MonitorSet set;
         if (window != 0) set.SetBatching(window);
-        for (const Property& p : props) {
-          PropertyMonitor& eng = set.Add(p, cfg);
-          if (prefetch_distance >= 0) {
-            if (auto* c = dynamic_cast<CompiledEngine*>(&eng))
-              c->set_prefetch_distance(
-                  static_cast<std::uint32_t>(prefetch_distance));
-          }
-        }
+        for (const Property& p : props) set.Add(p, cfg);
         for (int lap = 0; lap < kLaps; ++lap) {
           // Span delivery: batched windows execute straight out of the
           // replay buffer (no per-event copy); window 0 degrades to the
@@ -166,19 +155,12 @@ double TimeSet(const std::vector<Property>& props,
 /// Untimed single pass for the differential check.
 std::vector<Violation> RunOnce(const std::vector<Property>& props,
                                const std::vector<DataplaneEvent>& events,
-                               std::size_t window, int prefetch_distance) {
+                               std::size_t window) {
   MonitorConfig cfg;
   cfg.engine = EngineKind::kCompiled;
   MonitorSet set;
   if (window != 0) set.SetBatching(window);
-  for (const Property& p : props) {
-    PropertyMonitor& eng = set.Add(p, cfg);
-    if (prefetch_distance >= 0) {
-      if (auto* c = dynamic_cast<CompiledEngine*>(&eng))
-        c->set_prefetch_distance(
-            static_cast<std::uint32_t>(prefetch_distance));
-    }
-  }
+  for (const Property& p : props) set.Add(p, cfg);
   set.OnDataplaneEvents(events.data(), events.size());
   set.AdvanceTime(events.back().time + Duration::Seconds(300));
   return set.AllViolations();
@@ -204,9 +186,9 @@ int main() {
   using namespace swmon;
   bench::Header(
       "bench_batch", "DESIGN.md §5k (batch-mode execution)",
-      "fused stage-0 hashing + prefetched probes + engine-outer batch "
-      "loops cut per-event cost vs scalar compiled delivery, with "
-      "bit-identical violation streams at every swept configuration");
+      "run folding + engine-outer batch loops cut per-event cost vs "
+      "scalar compiled delivery, with bit-identical violation streams at "
+      "every swept configuration");
 
   bench::JsonReporter json("batch");
   const std::size_t deployed = DeployedWindow();
@@ -233,8 +215,8 @@ int main() {
     for (const std::size_t nprops : {1u, 4u, 13u}) {
       const std::vector<Property> props = Table1Properties(nprops);
       const std::vector<Violation> reference =
-          RunOnce(props, s.events, /*window=*/0, /*prefetch_distance=*/-1);
-      const double scalar_ns = TimeSet(props, s.events, 0, -1);
+          RunOnce(props, s.events, /*window=*/0);
+      const double scalar_ns = TimeSet(props, s.events, 0);
       bench::Section((std::string(s.name) + ", batch window sweep, " +
                       std::to_string(props.size()) + " properties")
                          .c_str());
@@ -242,7 +224,7 @@ int main() {
                   "scalar ns/ev", "batch ns/ev", "speedup", "violations");
       for (const std::size_t window : windows) {
         const std::vector<Violation> batched =
-            RunOnce(props, s.events, window, -1);
+            RunOnce(props, s.events, window);
         if (!Identical(reference, batched)) {
           std::printf("SEMANTICS MISMATCH: %s window=%zu props=%zu: "
                       "scalar=%zu batched=%zu violations\n",
@@ -251,7 +233,7 @@ int main() {
           all_identical = false;
           continue;
         }
-        const double batch_ns = TimeSet(props, s.events, window, -1);
+        const double batch_ns = TimeSet(props, s.events, window);
         const double speedup = batch_ns > 0 ? scalar_ns / batch_ns : 0;
         std::printf("%8zu | %14.1f | %12.1f | %7.2fx | %10zu\n", window,
                     scalar_ns, batch_ns, speedup, batched.size());
@@ -271,39 +253,6 @@ int main() {
           }
         }
       }
-    }
-  }
-
-  // Prefetch-distance ablation at the largest configuration: distance 0
-  // disables the probe-prefetch pass entirely, isolating its contribution
-  // from the hash fusion and loop-order wins.
-  {
-    const std::vector<Property> props = Table1Properties(13);
-    const auto& events = streams[0].events;  // keyed_arrival
-    const std::vector<Violation> reference = RunOnce(props, events, 0, -1);
-    bench::Section(("prefetch distance ablation, keyed_arrival, "
-                    "13 properties, window " +
-                    std::to_string(deployed))
-                       .c_str());
-    std::printf("%10s | %12s\n", "distance", "batch ns/ev");
-    for (const int dist : {0, 4, 8, 16}) {
-      const std::vector<Violation> batched =
-          RunOnce(props, events, deployed, dist);
-      if (!Identical(reference, batched)) {
-        std::printf("SEMANTICS MISMATCH: prefetch distance %d changed the "
-                    "violation stream\n",
-                    dist);
-        all_identical = false;
-        continue;
-      }
-      const double ns = TimeSet(props, events, deployed, dist);
-      std::printf("%10d | %12.1f\n", dist, ns);
-      json.AddRow()
-          .Str("stream", "keyed_arrival")
-          .Num("properties", 13)
-          .Num("window", static_cast<double>(deployed))
-          .Num("prefetch_distance", static_cast<double>(dist))
-          .Num("batch_ns_per_event", ns);
     }
   }
 

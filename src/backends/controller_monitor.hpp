@@ -60,16 +60,6 @@ class ControllerMonitor : public DataplaneObserver {
     return snap;
   }
 
-  /// DEPRECATED shims (one PR): read via CollectInto / telemetry::Snapshot.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_mirrored() const {
-    return events_mirrored_;
-  }
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t bytes_mirrored() const {
-    return bytes_mirrored_;
-  }
-
  private:
   std::unique_ptr<MonitorEngine> engine_;
   CostParams params_;

@@ -45,20 +45,6 @@ class Meter {
     snap.SetGauge(prefix + "tokens", static_cast<std::int64_t>(tokens_));
   }
 
-  /// DEPRECATED shims (one PR): read via CollectInto / telemetry::Snapshot.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t admitted() const {
-    return admitted_;
-  }
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t exceeded() const {
-    return exceeded_;
-  }
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t tokens() const {
-    return tokens_;
-  }
-
  private:
   void Refill(SimTime now) {
     if (now <= last_) return;

@@ -152,13 +152,6 @@ class SoftSwitch {
   EventQueue& queue() { return queue_; }
   const CostParams& params() const { return params_; }
 
-  /// DEPRECATED shim (one PR): read modeled costs via TelemetrySnapshot()
-  /// / CollectInto() under `dataplane.switch.<id>.*` instead.
-  [[deprecated("query switch costs via telemetry::Snapshot")]]
-  CostCounters& counters() {
-    return counters_;
-  }
-
   /// Publishes `dataplane.switch.<id>.{packets,table_lookups,
   /// state_table_ops,register_ops,flow_mods,controller_msgs,
   /// processing_ns}` counters into `snap`.

@@ -121,13 +121,6 @@ struct Program {
   std::vector<LinkTerm> links;
   /// Variables stage 0 binds, in binding order: the dedup/refresh key.
   std::vector<std::uint16_t> stage0_vars;
-  /// True when every stage-0 binding is kBindField, making the dedup key a
-  /// pure projection of event fields; stage0_key_fields then holds the
-  /// source FieldIds in binding (= key) order. Batch mode precomputes — and
-  /// fuses across properties — the stage-0 routing hash exactly when this
-  /// holds (see fused_keys.hpp).
-  bool stage0_key_pure = false;
-  std::vector<std::uint16_t> stage0_key_fields;
 
   std::vector<SuppressorCode> suppressors;
   std::vector<std::uint16_t> key_fields;  // suppression key-field pool

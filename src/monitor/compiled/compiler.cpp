@@ -164,24 +164,6 @@ std::optional<Program> CompileProperty(const Property& property) {
   for (const Binding& b : property.stages[0].bindings)
     prog.stage0_vars.push_back(b.var);
 
-  // Stage-0 dedup key purity: when every stage-0 binding is a plain field
-  // copy, the dedup key tuple (the stage0_vars values, in binding order) is
-  // a pure projection of event fields — its hash can be computed before the
-  // bind run even executes, which is what lets batch mode precompute (and
-  // fuse across properties) the stage-0 routing hash. kBindHash is
-  // event-pure too but its key word is a derived value, not a raw field, so
-  // it cannot share a fused row; kBindRoundRobin is state-dependent. Either
-  // one keeps the flag false and the engine hashes at the probe site.
-  prog.stage0_key_pure = true;
-  for (const Binding& b : property.stages[0].bindings) {
-    if (b.kind != Binding::Kind::kField) {
-      prog.stage0_key_pure = false;
-      break;
-    }
-    prog.stage0_key_fields.push_back(static_cast<std::uint16_t>(b.field));
-  }
-  if (!prog.stage0_key_pure) prog.stage0_key_fields.clear();
-
   for (const Suppressor& sup : property.suppressors) {
     SuppressorCode sc;
     sc.pattern = EmitPattern(sup.pattern, prog);

@@ -14,18 +14,18 @@
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "monitor/fused_keys.hpp"
 
 namespace swmon::compiled {
 
 // ---------------------------------------------------------------- OpenMap
 
-std::uint32_t OpenMap::FindHashed(std::uint64_t hash, const std::uint64_t* key,
-                                  std::uint32_t len) const {
+std::uint32_t OpenMap::Find(const std::uint64_t* key,
+                            std::uint32_t len) const {
   if (cells_.empty()) {
     NoteProbe(0);
     return kNone;
   }
+  const std::uint64_t hash = HashKey(key, len);
   const std::size_t mask = cells_.size() - 1;
   std::uint64_t steps = 0;
   for (std::size_t idx = hash & mask;; idx = (idx + 1) & mask) {
@@ -153,11 +153,10 @@ CompiledEngine::CompiledEngine(Property property, MonitorConfig config)
   stride_ = kWVars + static_cast<std::uint32_t>(prog_.num_vars());
   stores_.resize(prog_.num_stages());
   scratch_vars_.resize(prog_.num_vars());
-  ecfg_ = config_.EffectiveEviction();
+  ecfg_ = config_.eviction;
   eviction_.Configure(ecfg_, prog_.num_vars());
   evict_enabled_ = eviction_.enabled();
   InitFailFast();
-  InitProbeSites();
 }
 
 CompiledEngine::CompiledEngine(Property property, Program program,
@@ -174,11 +173,10 @@ CompiledEngine::CompiledEngine(Property property, Program program,
   stride_ = kWVars + static_cast<std::uint32_t>(prog_.num_vars());
   stores_.resize(prog_.num_stages());
   scratch_vars_.resize(prog_.num_vars());
-  ecfg_ = config_.EffectiveEviction();
+  ecfg_ = config_.eviction;
   eviction_.Configure(ecfg_, prog_.num_vars());
   evict_enabled_ = eviction_.enabled();
   InitFailFast();
-  InitProbeSites();
 }
 
 void CompiledEngine::InitFailFast() {
@@ -632,218 +630,6 @@ void CompiledEngine::ProcessShardedEvent(const DataplaneEvent& event,
 
 // ---------------------------------------------------------- batch execution
 
-void CompiledEngine::InitProbeSites() {
-  // Every OpenMap probe whose key is a pure projection of event fields gets
-  // a site: its hash can be computed in the batch hash pass (pass 1) — or
-  // adopted from the owner's fused-key table — and consumed via FindHashed.
-  // Sites are capped at 8 key words (nothing in the catalog comes close);
-  // a wider site simply stays on the scalar hash-at-probe path.
-  sites_.clear();
-  site_of_stage_.assign(prog_.num_stages(), kNoSite);
-  site_stage0_ = kNoSite;
-  site_suppression_ = kNoSite;
-  const auto add = [this](ProbeSite::Kind kind, std::uint32_t stage,
-                          std::vector<std::uint16_t> fields,
-                          EventTypeMask types) -> std::uint32_t {
-    if (fields.size() > 8) return kNoSite;
-    ProbeSite s;
-    s.kind = kind;
-    s.stage = stage;
-    s.presence = 0;
-    for (const std::uint16_t f : fields) s.presence |= std::uint64_t{1} << f;
-    s.fields = std::move(fields);
-    s.types = types;
-    sites_.push_back(std::move(s));
-    return static_cast<std::uint32_t>(sites_.size() - 1);
-  };
-  // Stage-0 index and suppression set are probed only inside
-  // RunCreatePass, which is entered only for events matching stage 0's
-  // pattern type (RunPasses' fail-fast mirrors the same check).
-  const PatternCode& p0 = prog_.stages[0].pattern;
-  const EventTypeMask create_types =
-      p0.event_type >= 0
-          ? EventTypeBit(static_cast<DataplaneEventType>(p0.event_type))
-          : prog_.interest;
-  if (prog_.stage0_key_pure)
-    site_stage0_ =
-        add(ProbeSite::kStage0, 0, prog_.stage0_key_fields, create_types);
-  if (prog_.suppression_key_count != 0) {
-    std::vector<std::uint16_t> f(
-        prog_.key_fields.begin() + prog_.suppression_key_begin,
-        prog_.key_fields.begin() + prog_.suppression_key_begin +
-            prog_.suppression_key_count);
-    site_suppression_ =
-        add(ProbeSite::kSuppression, 0, std::move(f), create_types);
-  }
-  for (std::uint32_t k = 1; k < prog_.num_stages(); ++k) {
-    const StageCode& st = prog_.stages[k];
-    if (st.link_count == 0) continue;
-    // A stage's keyed store is hash-probed only by the advance pass
-    // (aborts walk the store), so the consuming types are exactly the
-    // ones whose advance mask includes this stage.
-    EventTypeMask types = 0;
-    for (std::size_t t = 0; t < kNumDataplaneEventTypes; ++t)
-      if (prog_.advance_stage_mask[t] >> k & 1)
-        types |= EventTypeBit(static_cast<DataplaneEventType>(t));
-    std::vector<std::uint16_t> f;
-    f.reserve(st.link_count);
-    for (std::uint32_t i = 0; i < st.link_count; ++i)
-      f.push_back(prog_.links[st.link_begin + i].field);
-    site_of_stage_[k] = add(ProbeSite::kLink, k, std::move(f), types);
-  }
-}
-
-std::vector<ProbeKeyTuple> CompiledEngine::ProbeKeyTuples() const {
-  // Stage-0 and suppression probes sit behind RunPasses' stage-0 fail-fast:
-  // an event failing the pattern's leading constant condition can never
-  // reach them, so that condition is exported as the tuples' reachability
-  // gate and the hash pass skips such events. Link sites carry no gate —
-  // their reachability (a live instance at the stage) is per-batch state,
-  // reported via MarkConsumableFusedSlots instead.
-  KeyConstFilter create_gate;
-  if (st0_fast_valid_) {
-    create_gate.valid = true;
-    create_gate.negate = st0_fast_.op != Op::kCondConstEq;
-    create_gate.pass_if_absent = (st0_fast_.flags & kFlagAllowAbsent) != 0;
-    create_gate.field = st0_fast_.field;
-    create_gate.mask = st0_fast_.mask;
-    create_gate.imm = st0_fast_.imm;
-  }
-  std::vector<ProbeKeyTuple> out;
-  out.reserve(sites_.size());
-  for (const ProbeSite& s : sites_) {
-    ProbeKeyTuple t{s.fields, s.types, {}};
-    if (s.kind != ProbeSite::kLink) t.filter = create_gate;
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-void CompiledEngine::MarkConsumableFusedSlots(std::uint8_t* want) const {
-  if (fused_slots_.size() != sites_.size()) return;  // not bound to an owner
-  for (std::size_t s = 0; s < sites_.size(); ++s)
-    if (SiteConsumable(sites_[s])) want[fused_slots_[s]] = 1;
-}
-
-const OpenMap& CompiledEngine::SiteMap(const ProbeSite& s) const {
-  switch (s.kind) {
-    case ProbeSite::kStage0:
-      return stage0_index_;
-    case ProbeSite::kSuppression:
-      return suppressed_;
-    default:
-      return stores_[s.stage].keyed;
-  }
-}
-
-void CompiledEngine::BeginBatch(const DataplaneEvent* events, std::size_t count,
-                                const FusedKeyTable* fused) {
-  batch_events_ = events;
-  batch_count_ = count;
-  batch_i_ = 0;
-  batch_active_ = true;
-  const std::size_t n = sites_.size();
-  site_rows_.assign(n, nullptr);
-  site_valid_.assign(n, nullptr);
-  pf_sites_.clear();
-  if (n == 0) return;
-  if (fused != nullptr && fused_slots_.size() == n) {
-    // The owner already fused and hashed this batch's keys (one row per
-    // unique field tuple across ALL its engines) — just adopt the rows.
-    for (std::size_t s = 0; s < n; ++s) {
-      site_rows_[s] = fused->row(fused_slots_[s]);
-      site_valid_[s] = fused->valid(fused_slots_[s]);
-      if (SiteConsumable(sites_[s]))
-        pf_sites_.push_back(static_cast<std::uint32_t>(s));
-    }
-    return;
-  }
-  // Pass 1, the key-extraction/hash pass: one straight-line sweep computing
-  // each event's probe hashes before any probing starts. Every gate below
-  // is advisory (an invalid entry hashes inline at the probe — SiteHash),
-  // so the pass mirrors the scalar path's own work-avoidance: link sites
-  // with no live instances are skipped wholesale, and stage-0/suppression
-  // sites skip events the stage-0 fail-fast would reject.
-  own_rows_.resize(n * count);
-  own_valid_.resize(n * count);
-  std::uint64_t key[8];
-  bool any_create_site = false;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!SiteConsumable(sites_[s])) continue;  // rows stay nullptr
-    site_rows_[s] = own_rows_.data() + s * count;
-    site_valid_[s] = own_valid_.data() + s * count;
-    pf_sites_.push_back(static_cast<std::uint32_t>(s));
-    if (sites_[s].kind != ProbeSite::kLink) any_create_site = true;
-  }
-  if (pf_sites_.empty()) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    const FieldMap& fields = events[i].fields;
-    const std::uint64_t present = fields.presence_mask();
-    const EventTypeMask tbit = EventTypeBit(events[i].type);
-    // The stage-0 fail-fast, evaluated once per event for every
-    // stage-0-rooted site (RunPasses re-checks it before RunCreatePass, so
-    // a skipped event's rows are provably never consumed).
-    bool create_ok = true;
-    if (any_create_site && st0_fast_valid_) {
-      const auto f = static_cast<FieldId>(st0_fast_.field);
-      if (!fields.Has(f)) {
-        create_ok = (st0_fast_.flags & kFlagAllowAbsent) != 0;
-      } else {
-        const bool eq =
-            ((fields.GetUnchecked(f) ^ st0_fast_.imm) & st0_fast_.mask) == 0;
-        create_ok = st0_fast_.op == Op::kCondConstEq ? eq : !eq;
-      }
-    }
-    for (const std::uint32_t s : pf_sites_) {
-      const ProbeSite& site = sites_[s];
-      const std::size_t at = s * count + i;
-      if ((site.types & tbit) == 0 ||
-          (present & site.presence) != site.presence ||
-          (site.kind != ProbeSite::kLink && !create_ok)) {
-        own_valid_[at] = 0;
-        continue;
-      }
-      for (std::size_t k = 0; k < site.fields.size(); ++k)
-        key[k] = fields.GetUnchecked(static_cast<FieldId>(site.fields[k]));
-      own_rows_[at] =
-          HashKeySpan(key, static_cast<std::uint32_t>(site.fields.size()));
-      own_valid_[at] = 1;
-    }
-  }
-}
-
-void CompiledEngine::EndBatch() {
-  batch_active_ = false;
-  batch_events_ = nullptr;
-  batch_count_ = 0;
-}
-
-void CompiledEngine::PrefetchAhead(std::size_t i) {
-  // Pass 2, interleaved with execution: while event i runs, pull the probe
-  // cells event i+D will hit toward the cache, and — closer in, where the
-  // cell line is likely resident already — peek it to prefetch the packed
-  // u64 slab record its first slot names. Both are advisory only: no
-  // counter, no state, no observable difference from scalar execution.
-  if (prefetch_dist_ == 0 || pf_sites_.empty()) return;
-  const std::size_t far = i + prefetch_dist_;
-  if (far < batch_count_) {
-    for (const std::uint32_t s : pf_sites_) {
-      if (site_rows_[s] == nullptr || site_valid_[s][far] == 0) continue;
-      SiteMap(sites_[s]).Prefetch(site_rows_[s][far]);
-    }
-  }
-  const std::size_t near = i + (prefetch_dist_ + 1) / 2;
-  if (near < batch_count_) {
-    for (const std::uint32_t s : pf_sites_) {
-      if (sites_[s].kind == ProbeSite::kSuppression) continue;  // set: no slots
-      if (site_rows_[s] == nullptr || site_valid_[s][near] == 0) continue;
-      const std::uint32_t slot =
-          SiteMap(sites_[s]).PeekFirstSlot(site_rows_[s][near]);
-      if (slot != OpenMap::kNone) __builtin_prefetch(Rec(slot));
-    }
-  }
-}
-
 bool CompiledEngine::WouldEnterCreate(const DataplaneEvent& ev) const {
   const auto t = static_cast<std::size_t>(ev.type);
   const PatternCode& p0 = prog_.stages[0].pattern;
@@ -872,28 +658,28 @@ bool CompiledEngine::SuppressorsInert(const DataplaneEvent& ev) const {
 
 void CompiledEngine::ProcessEventBatch(const DataplaneEvent* events,
                                        std::size_t count,
-                                       const FusedKeyTable* fused,
                                        BatchEventResult* results) {
-  BeginBatch(events, count, fused);
+  const auto interested = [this](const DataplaneEvent& ev) {
+    return ((interest_ >> static_cast<int>(ev.type)) & 1) != 0;
+  };
   // With no live instances the abort/advance passes are no-ops, so for a
   // dispatched event only creation and the suppressor sweep can touch
   // state. An event that can't enter the create pass (WouldEnterCreate)
   // and can't feed any suppressor (SuppressorsInert) is then provably
-  // inert: its whole effect is three counters and the clock, so runs of
-  // such events fold the same way filtered runs do below. Timer pops with
-  // live_count_ == 0 are stale pops and can't resurrect instances, so
+  // inert: its whole effect is three counters and the clock. Timer pops
+  // with live_count_ == 0 are stale pops and can't resurrect instances, so
   // live_count_ stays 0 across the folded AdvanceTime.
-  const bool fold_dispatched = results == nullptr;
+  const auto inert = [&](const DataplaneEvent& ev) {
+    return interested(ev) && !WouldEnterCreate(ev) && SuppressorsInert(ev);
+  };
+  // Folding skips the per-event violation marks, so it runs only when the
+  // caller does not want them.
+  const bool fold = results == nullptr;
   for (std::size_t i = 0; i < count;) {
     const DataplaneEvent& ev = events[i];
-    if (fold_dispatched && live_count_ == 0 &&
-        ((interest_ >> static_cast<int>(ev.type)) & 1) != 0 &&
-        !WouldEnterCreate(ev) && SuppressorsInert(ev)) {
+    if (fold && live_count_ == 0 && inert(ev)) {
       std::size_t j = i + 1;
-      while (j < count &&
-             ((interest_ >> static_cast<int>(events[j].type)) & 1) != 0 &&
-             !WouldEnterCreate(events[j]) && SuppressorsInert(events[j]))
-        ++j;
+      while (j < count && inert(events[j])) ++j;
       const std::size_t n = j - i;
       stats_.events += n;
       stats_.events_dispatched += n;
@@ -902,28 +688,21 @@ void CompiledEngine::ProcessEventBatch(const DataplaneEvent* events,
       i = j;
       continue;
     }
-    if (((interest_ >> static_cast<int>(ev.type)) & 1) == 0 &&
-        results == nullptr) {
+    if (fold && !interested(ev)) {
       // A run of filtered events folds into one clock advance:
       // AdvanceTime(t1); AdvanceTime(t2) pops exactly the timers
       // AdvanceTime(t2) alone would, in the same deadline order, with
       // deadline-derived timestamps — so skipping the intermediate calls
-      // is unobservable. (With `results` the per-event violation marks
-      // must still be captured, so the scalar-shaped path below runs.)
+      // is unobservable.
       std::size_t j = i + 1;
-      while (j < count &&
-             ((interest_ >> static_cast<int>(events[j].type)) & 1) == 0)
-        ++j;
+      while (j < count && !interested(events[j])) ++j;
       stats_.events_filtered += j - i;
       AdvanceTime(events[j - 1].time);
       i = j;
       continue;
     }
-    batch_i_ = i;
-    PrefetchAhead(i);
-    if ((interest_ >> static_cast<int>(ev.type)) & 1) {
-      // ProcessDispatchedEvent, inlined (pass 3 runs the unchanged scalar
-      // passes — exact serial order within the batch).
+    if (interested(ev)) {
+      // ProcessDispatchedEvent, inlined.
       ++stats_.events_dispatched;
       ++event_seq_;
       ++stats_.events;
@@ -943,44 +722,6 @@ void CompiledEngine::ProcessEventBatch(const DataplaneEvent* events,
     }
     ++i;
   }
-  EndBatch();
-}
-
-void CompiledEngine::ProcessShardedBatch(const DataplaneEvent* events,
-                                         std::size_t count,
-                                         const ShardedBatchOp* ops,
-                                         const FusedKeyTable* fused,
-                                         BatchEventResult* results) {
-  BeginBatch(events, count, fused);
-  for (std::size_t i = 0; i < count; ++i) {
-    batch_i_ = i;
-    PrefetchAhead(i);
-    const DataplaneEvent& ev = events[i];
-    const ShardedBatchOp& op = ops[i];
-    // Mirror of the scalar worker loop: clock first (NoteFilteredEvent on
-    // the replica that accounts the event as filtered), capture the
-    // phase-0 violation mark, then the sharded passes.
-    if (op.filtered) ++stats_.events_filtered;
-    AdvanceTime(ev.time);
-    if (results != nullptr)
-      results[i].violations_clock =
-          static_cast<std::uint32_t>(violations_.size());
-    if (op.stage_mask != 0) {
-      ++event_seq_;
-      if (op.count) {
-        ++stats_.events;
-        ++stats_.events_dispatched;
-      }
-      RunPasses(ev, op.stage_mask);
-    }
-    if (results != nullptr) {
-      BatchEventResult& r = results[i];
-      r.violations_after = static_cast<std::uint32_t>(violations_.size());
-      r.live_after = static_cast<std::uint32_t>(live_count_);
-      r.created_after = stats_.instances_created;
-    }
-  }
-  EndBatch();
 }
 
 void CompiledEngine::RunPasses(const DataplaneEvent& event,
@@ -1069,35 +810,23 @@ void CompiledEngine::RunAdvancePass(const DataplaneEvent& ev,
 
     cand_.clear();
     if (st.link_count != 0) {
-      // Link-key lookup. In batch mode the site's hash may have been
-      // precomputed by the hash pass; when it wasn't (scalar delivery, a
-      // key field absent, or the pass's advisory gates skipped the event)
-      // the key is built and hashed right here, identically either way.
+      // Link-key lookup: an event missing a link field can't project the
+      // key, leaving only the scan candidates.
       std::uint32_t cell = OpenMap::kNone;
-      std::uint64_t h;
-      if (SiteHash(site_of_stage_[k], &h)) {
-        key_buf_.clear();
-        for (std::uint32_t i = 0; i < st.link_count; ++i)
-          key_buf_.push_back(ev.fields.GetUnchecked(
-              static_cast<FieldId>(prog_.links[st.link_begin + i].field)));
-        cell = store.keyed.FindHashed(
-            h, key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
-      } else {
-        key_buf_.clear();
-        bool projectable = true;
-        for (std::uint32_t i = 0; i < st.link_count; ++i) {
-          const auto f =
-              static_cast<FieldId>(prog_.links[st.link_begin + i].field);
-          if (!ev.fields.Has(f)) {
-            projectable = false;
-            break;
-          }
-          key_buf_.push_back(ev.fields.GetUnchecked(f));
+      key_buf_.clear();
+      bool projectable = true;
+      for (std::uint32_t i = 0; i < st.link_count; ++i) {
+        const auto f =
+            static_cast<FieldId>(prog_.links[st.link_begin + i].field);
+        if (!ev.fields.Has(f)) {
+          projectable = false;
+          break;
         }
-        if (projectable)
-          cell = store.keyed.Find(
-              key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
+        key_buf_.push_back(ev.fields.GetUnchecked(f));
       }
+      if (projectable)
+        cell = store.keyed.Find(key_buf_.data(),
+                                static_cast<std::uint32_t>(key_buf_.size()));
       if (cell != OpenMap::kNone) {
         const auto& slots = store.keyed.slots(cell);
         cand_.insert(cand_.end(), slots.begin(), slots.end());
@@ -1157,35 +886,23 @@ void CompiledEngine::RunCreatePass(const DataplaneEvent& ev) {
     if (!ExecMatch(pc, ev.fields, scratch_vars_.data(), 0)) return;
   }
 
-  // Suppression (negated-history preconditions). Batch mode consumes the
-  // precomputed suppression-key hash when the hash pass produced one;
-  // otherwise the key is hashed inline, scalar-identical.
+  // Suppression (negated-history preconditions).
   if (prog_.suppression_key_count != 0) {
     std::uint32_t cell = OpenMap::kNone;
-    std::uint64_t h;
-    if (SiteHash(site_suppression_, &h)) {
-      key_buf_.clear();
-      for (std::uint32_t i = 0; i < prog_.suppression_key_count; ++i)
-        key_buf_.push_back(ev.fields.GetUnchecked(static_cast<FieldId>(
-            prog_.key_fields[prog_.suppression_key_begin + i])));
-      cell = suppressed_.FindHashed(
-          h, key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
-    } else {
-      key_buf_.clear();
-      bool all_present = true;
-      for (std::uint32_t i = 0; i < prog_.suppression_key_count; ++i) {
-        const auto f = static_cast<FieldId>(
-            prog_.key_fields[prog_.suppression_key_begin + i]);
-        if (!ev.fields.Has(f)) {
-          all_present = false;
-          break;
-        }
-        key_buf_.push_back(ev.fields.GetUnchecked(f));
+    key_buf_.clear();
+    bool all_present = true;
+    for (std::uint32_t i = 0; i < prog_.suppression_key_count; ++i) {
+      const auto f = static_cast<FieldId>(
+          prog_.key_fields[prog_.suppression_key_begin + i]);
+      if (!ev.fields.Has(f)) {
+        all_present = false;
+        break;
       }
-      if (all_present)
-        cell = suppressed_.Find(key_buf_.data(),
-                                static_cast<std::uint32_t>(key_buf_.size()));
+      key_buf_.push_back(ev.fields.GetUnchecked(f));
     }
+    if (all_present)
+      cell = suppressed_.Find(key_buf_.data(),
+                              static_cast<std::uint32_t>(key_buf_.size()));
     if (cell != OpenMap::kNone) {
       ++stats_.suppressed_creations;
       return;
@@ -1200,17 +917,10 @@ void CompiledEngine::RunCreatePass(const DataplaneEvent& ev) {
   if (!ExecBind(st0.bind_begin, ev.fields, scratch_vars_.data(), bound))
     return;
 
-  // Dedup / refresh (Feature 3's per-pair timer semantics). When stage 0's
-  // key is pure (all kBindField), the routing hash was computed once in the
-  // batch hash pass (fused across properties sharing the tuple); a row the
-  // pass's advisory gates skipped just hashes here, scalar-identical.
+  // Dedup / refresh (Feature 3's per-pair timer semantics).
   BuildStage0Key(scratch_vars_.data());
   const std::uint32_t key_len = static_cast<std::uint32_t>(key_buf_.size());
-  std::uint64_t h0;
-  const std::uint32_t dedup =
-      SiteHash(site_stage0_, &h0)
-          ? stage0_index_.FindHashed(h0, key_buf_.data(), key_len)
-          : stage0_index_.Find(key_buf_.data(), key_len);
+  const std::uint32_t dedup = stage0_index_.Find(key_buf_.data(), key_len);
   if (dedup != OpenMap::kNone && !stage0_index_.slots(dedup).empty()) {
     rr_counter_ = rr_before;
     if (st0.refresh_on_rematch) {

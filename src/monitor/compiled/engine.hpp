@@ -32,7 +32,6 @@
 
 #include "event/timer_set.hpp"
 #include "monitor/compiled/bytecode.hpp"
-#include "monitor/key_hash.hpp"
 #include "monitor/property_monitor.hpp"
 
 namespace swmon::compiled {
@@ -46,10 +45,15 @@ class OpenMap {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  /// FlowKey::Hash's FNV-style mixing, over a span of key words.
   static std::uint64_t HashKey(const std::uint64_t* key, std::uint32_t len) {
-    // FlowKey::Hash's mixing, over a span (key_hash.hpp — shared with the
-    // batch-mode fused-key table, which precomputes these hashes).
-    return HashKeySpan(key, len);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint32_t i = 0; i < len; ++i) {
+      h ^= key[i];
+      h *= 0x100000001b3ULL;
+      h ^= h >> 29;
+    }
+    return h;
   }
 
   /// Probe telemetry, published under monitor.compiled.* by the engine.
@@ -68,36 +72,11 @@ class OpenMap {
   const ProbeStats& probe_stats() const { return probe_; }
 
   /// Cell index holding the key, or kNone.
-  std::uint32_t Find(const std::uint64_t* key, std::uint32_t len) const {
-    return FindHashed(HashKey(key, len), key, len);
-  }
-  /// Find with the key's hash already computed (batch mode: precomputed
-  /// once per event by the engine's hash pass or the fused-key table).
-  /// `hash` MUST equal HashKey(key, len).
-  std::uint32_t FindHashed(std::uint64_t hash, const std::uint64_t* key,
-                           std::uint32_t len) const;
+  std::uint32_t Find(const std::uint64_t* key, std::uint32_t len) const;
   /// Finds or creates the cell for the key.
   std::uint32_t Insert(const std::uint64_t* key, std::uint32_t len);
   /// Tombstones the cell and releases its bucket storage.
   void EraseAt(std::uint32_t cell);
-
-  /// Advisory: pull the first probe cell for `hash` toward the cache. No
-  /// state change, no telemetry — purely a latency hint, so issuing (or
-  /// skipping) prefetches can never perturb observable behaviour.
-  void Prefetch(std::uint64_t hash) const {
-    if (!cells_.empty())
-      __builtin_prefetch(&cells_[hash & (cells_.size() - 1)]);
-  }
-  /// Advisory: when the first probe cell already holds `hash`, returns its
-  /// first slot so the caller can prefetch the slab record; kNone
-  /// otherwise (including on a probe that would need to walk). Counts
-  /// nothing for the same reason as Prefetch.
-  std::uint32_t PeekFirstSlot(std::uint64_t hash) const {
-    if (cells_.empty()) return kNone;
-    const Cell& c = cells_[hash & (cells_.size() - 1)];
-    if (c.state != kFull || c.hash != hash || c.slots.empty()) return kNone;
-    return c.slots.front();
-  }
 
   std::vector<std::uint32_t>& slots(std::uint32_t cell) {
     return cells_[cell].slots;
@@ -192,35 +171,13 @@ class CompiledEngine : public PropertyMonitor {
   void ProcessShardedEvent(const DataplaneEvent& event,
                            std::uint64_t stage_mask, bool count) override;
 
-  // --- native batch execution (PR 9) ---
-  /// Staged whole-batch execution: (1) a key-extraction/hash pass computes
-  /// each event's probe-site hashes once (or adopts the caller's fused
-  /// rows), (2) the execute loop prefetches OpenMap cells — and, closer in,
-  /// slab records — a fixed distance ahead, (3) each event then runs the
-  /// unchanged scalar passes against warm lines, consuming the precomputed
-  /// hashes via OpenMap::FindHashed. Event order, violations, counters and
-  /// probe telemetry are bit-identical to the scalar loop.
+  /// Native batch execution: the scalar passes in event order, except that
+  /// runs of filtered events, and (with no live instances) runs of
+  /// provably inert dispatched events, fold into one counter bump and one
+  /// AdvanceTime. Violations, counters and probe telemetry are
+  /// bit-identical to the scalar loop.
   void ProcessEventBatch(const DataplaneEvent* events, std::size_t count,
-                         const FusedKeyTable* fused,
                          BatchEventResult* results) override;
-  void ProcessShardedBatch(const DataplaneEvent* events, std::size_t count,
-                           const ShardedBatchOp* ops,
-                           const FusedKeyTable* fused,
-                           BatchEventResult* results) override;
-  std::vector<ProbeKeyTuple> ProbeKeyTuples() const override;
-  void BindFusedRows(std::vector<std::uint32_t> slots) override {
-    fused_slots_ = std::move(slots);
-  }
-  /// Demands the fused slots whose probes are currently consumable: every
-  /// stage-0/suppression site, and link-key sites only while their stage
-  /// store holds instances (an empty store cannot be probed usefully, and
-  /// an instance created mid-batch just hashes inline until next batch).
-  void MarkConsumableFusedSlots(std::uint8_t* want) const override;
-  /// How many events ahead the execute loop prefetches probe cells (slab
-  /// records are peeked at half this distance). 0 disables prefetch;
-  /// bench_batch ablates this knob. Purely advisory — never observable.
-  void set_prefetch_distance(std::uint32_t d) { prefetch_dist_ = d; }
-  std::uint32_t prefetch_distance() const { return prefetch_dist_; }
 
   std::uint64_t created_count() const override {
     return stats_.instances_created;
@@ -313,70 +270,19 @@ class CompiledEngine : public PropertyMonitor {
   /// the stage-0 type check or fail-fast rejects, or when a required
   /// (non-allow-absent) stage-0 pattern field is missing — the match then
   /// provably fails before any probe, counter, or bind. Used by the batch
-  /// no-op fold.
+  /// inert-run fold.
   bool WouldEnterCreate(const DataplaneEvent& ev) const;
   /// Is RunSuppressorPass provably a no-op for this event? True when every
   /// suppressor's pattern either rejects the event type or requires a field
   /// the event lacks (its ExecMatch fails side-effect-free).
   bool SuppressorsInert(const DataplaneEvent& ev) const;
   /// Shared ctor tail: the stage-0 fail-fast and the required-presence
-  /// masks the batch no-op fold consults.
+  /// masks the batch inert-run fold consults.
   void InitFailFast();
   void RunAbortPass(const DataplaneEvent& ev, std::uint64_t stage_mask);
   void RunAdvancePass(const DataplaneEvent& ev, std::uint64_t stage_mask);
   void RunCreatePass(const DataplaneEvent& ev);
   void RunSuppressorPass(const DataplaneEvent& ev);
-
-  // --- batch machinery ---
-  /// One probe site whose OpenMap key is a pure projection of event
-  /// fields: the stage-0 dedup index (when stage 0 binds only kBindField),
-  /// the suppression set, and every linked advance-stage store. Built once
-  /// at construction; ProbeKeyTuples() exposes the tuples in sites_ order.
-  struct ProbeSite {
-    enum Kind : std::uint8_t { kStage0, kSuppression, kLink };
-    Kind kind;
-    std::uint32_t stage = 0;  // kLink only
-    std::vector<std::uint16_t> fields;
-    std::uint64_t presence = 0;
-    /// Event types whose per-event passes can reach the consuming probe —
-    /// the hash pass skips (and the fused table never hashes) any other
-    /// event, which is what keeps batch-mode hashing proportional to the
-    /// work the scalar path would actually do.
-    EventTypeMask types = 0;
-  };
-  void InitProbeSites();
-  const OpenMap& SiteMap(const ProbeSite& s) const;
-  /// Is this site's probe worth precomputing hashes for right now? An
-  /// empty map can't satisfy any lookup, so a site demands rows only while
-  /// its map holds entries — the occasional probe or insert against an
-  /// empty map (e.g. the create pass touching a fresh dedup index) hashes
-  /// inline through the SiteHash fallback, which is exactly the scalar
-  /// path's cost. Advisory only: a stale answer degrades fusion, never
-  /// correctness.
-  bool SiteConsumable(const ProbeSite& s) const {
-    return SiteMap(s).size() != 0;
-  }
-  /// Points site_rows_/site_valid_ at the caller's fused rows, or computes
-  /// them locally (the hash pass) when no fused table is supplied.
-  void BeginBatch(const DataplaneEvent* events, std::size_t count,
-                  const FusedKeyTable* fused);
-  void EndBatch();
-  /// Issues the distance-ahead cell prefetches (and nearer record peeks)
-  /// for the event at `i + prefetch_dist_` while `i` executes.
-  void PrefetchAhead(std::size_t i);
-  /// Per-event batch-site lookup helper: the precomputed hash for `site`
-  /// at the current batch index. Returning false means only "no
-  /// precomputed hash" — the consuming probe hashes inline exactly as
-  /// scalar execution would, so the hash pass may under-approximate (skip
-  /// events its gates judge unreachable) without affecting semantics.
-  bool SiteHash(std::uint32_t site, std::uint64_t* h) const {
-    if (site == kNoSite || !batch_active_ || site_rows_[site] == nullptr ||
-        site_valid_[site][batch_i_] == 0)
-      return false;
-    *h = site_rows_[site][batch_i_];
-    return true;
-  }
-  static constexpr std::uint32_t kNoSite = 0xffffffffu;
 
   Property property_;
   Program prog_;
@@ -437,25 +343,6 @@ class CompiledEngine : public PropertyMonitor {
   std::vector<std::uint64_t> key_buf_;
   std::vector<std::uint32_t> cand_;
   std::vector<EvictionEntry> victims_;
-
-  // --- batch-mode state (set by BeginBatch, cleared by EndBatch) ---
-  std::vector<ProbeSite> sites_;
-  std::uint32_t site_stage0_ = kNoSite;
-  std::uint32_t site_suppression_ = kNoSite;
-  std::vector<std::uint32_t> site_of_stage_;  // per stage, kNoSite if none
-  std::vector<std::uint32_t> fused_slots_;    // BindFusedRows, sites_ order
-  bool batch_active_ = false;
-  std::size_t batch_i_ = 0;
-  const DataplaneEvent* batch_events_ = nullptr;
-  std::size_t batch_count_ = 0;
-  std::vector<const std::uint64_t*> site_rows_;
-  std::vector<const std::uint8_t*> site_valid_;
-  std::vector<std::uint64_t> own_rows_;  // hash pass output when not fused
-  std::vector<std::uint8_t> own_valid_;
-  /// Sites worth prefetching this batch (rows present and the probed map
-  /// non-empty) — PrefetchAhead's loop runs over this instead of sites_.
-  std::vector<std::uint32_t> pf_sites_;
-  std::uint32_t prefetch_dist_ = 8;
 };
 
 }  // namespace swmon::compiled

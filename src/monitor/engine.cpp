@@ -18,7 +18,7 @@ MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
   const std::string err = property_.Validate();
   SWMON_ASSERT_MSG(err.empty(), err.c_str());
 
-  ecfg_ = config_.EffectiveEviction();
+  ecfg_ = config_.eviction;
   eviction_.Configure(ecfg_, property_.num_vars());
   evict_enabled_ = eviction_.enabled();
 

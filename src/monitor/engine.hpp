@@ -83,14 +83,6 @@ class MonitorEngine : public PropertyMonitor {
 
   const Property& property() const override { return property_; }
 
-  /// DEPRECATED shim (one PR): read counters via CollectInto() / a
-  /// telemetry::Snapshot instead. Returns by value with the TimerSet
-  /// mirrors filled live, so unlike the old accessor it is never stale.
-  [[deprecated("query engine counters via telemetry::Snapshot (CollectInto)")]]
-  MonitorStats stats() const {
-    return StatsNow();
-  }
-
   /// Publishes this engine's counters into `snap` under
   /// `monitor.engine.<name>.<stat>` (counters) plus the `live_instances` /
   /// `eviction_queue` / `state_bytes` gauges. Timer values are read from
@@ -193,7 +185,7 @@ class MonitorEngine : public PropertyMonitor {
       stage0_index_;
   std::vector<VarId> stage0_bound_vars_;
   std::unordered_set<FlowKey, FlowKeyHash> suppressed_;
-  /// Bounded-memory eviction (resolved from config_.EffectiveEviction()).
+  /// Bounded-memory eviction (config_.eviction).
   /// Hooks are only called when ecfg_.enabled() — the disabled default
   /// costs one cached-bool test per lifecycle point.
   EvictionConfig ecfg_;

@@ -35,9 +35,9 @@
 // Batch mode (opt-in, SetBatching): instead of delivering each event the
 // moment it arrives, the set parks events in a small buffer and hands the
 // whole run to each engine's ProcessEventBatch when the window fills —
-// letting the compiled engine hash routing keys up front (once per fused
-// key tuple across all attached properties, via FusedKeyTable) and
-// prefetch probe targets ahead of the per-event passes. Batching is
+// engine-outer loop order, which keeps one engine's bytecode and tables
+// hot across the run, and lets the compiled engine fold runs of filtered
+// or provably inert events into one clock advance. Batching is
 // invisible to every observable: any read that could see engine state
 // (violations, telemetry, engine(), lifecycle ops, AdvanceTime,
 // FlushEvents) first flushes the pending run, so callers see exactly the
@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "monitor/dispatch_table.hpp"
-#include "monitor/fused_keys.hpp"
 #include "monitor/property_monitor.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -106,7 +105,6 @@ class MonitorSet : public DataplaneObserver {
     engines_.push_back(CreatePropertyMonitor(std::move(property), config));
     PropertyMonitor* engine = engines_.back().get();
     dispatch_.Register(engine, static_cast<std::uint32_t>(engines_.size() - 1));
-    fused_dirty_ = true;
     return engines_.size() - 1;
   }
 
@@ -123,7 +121,6 @@ class MonitorSet : public DataplaneObserver {
     std::vector<Violation> drained = engines_[id]->TakeViolations();
     dispatch_.Unregister(engines_[id].get());
     engines_[id].reset();
-    fused_dirty_ = true;
     return drained;
   }
 
@@ -208,11 +205,10 @@ class MonitorSet : public DataplaneObserver {
 
   /// Enables (window >= 1) or disables (window = 0, the default) the
   /// internal micro-batcher: DeliverEvent buffers up to `window` events and
-  /// flushes the run through each live engine's ProcessEventBatch, with
-  /// stage-0 routing hashes computed once per fused key tuple across all
-  /// attached properties. Any pending events are flushed before the window
-  /// changes, so resizing mid-stream is safe. A window of 1 exercises the
-  /// batch machinery with scalar-equivalent timing (useful for tests).
+  /// flushes the run through each live engine's ProcessEventBatch. Any
+  /// pending events are flushed before the window changes, so resizing
+  /// mid-stream is safe. A window of 1 exercises the batch machinery with
+  /// scalar-equivalent timing (useful for tests).
   void SetBatching(std::size_t window) {
     FlushBatch();
     batch_window_ = window;
@@ -276,9 +272,6 @@ class MonitorSet : public DataplaneObserver {
     if (batch_window_ != 0) {
       snap.SetCounter("monitor.set.batch.flushes", batch_flushes_);
       snap.SetCounter("monitor.set.batch.events", batch_events_);
-      snap.SetCounter("monitor.set.batch.fused_tuples", fused_.tuples());
-      snap.SetCounter("monitor.set.batch.fused_sites", fused_.interned_sites());
-      snap.SetCounter("monitor.set.batch.fused_rows", fused_.rows_computed());
     }
     for (std::size_t i = 0; i < engines_.size(); ++i)
       if (engines_[i]) engines_[i]->CollectInto(snap, engine_names_[i]);
@@ -288,19 +281,6 @@ class MonitorSet : public DataplaneObserver {
     telemetry::Snapshot snap;
     CollectInto(snap);
     return snap;
-  }
-
-  /// DEPRECATED shims (one PR): use TelemetrySnapshot() and
-  /// snapshot.counter("monitor.set.events_dispatched") instead.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_dispatched() const {
-    FlushBatch();
-    return events_dispatched_;
-  }
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_filtered() const {
-    FlushBatch();
-    return events_filtered_;
   }
 
   /// Live engines' accumulated (undrained) violations, in attach order.
@@ -345,18 +325,12 @@ class MonitorSet : public DataplaneObserver {
     pending_.clear();
   }
 
-  /// Executes one contiguous run through every live engine: fused hash
-  /// pass first (over only the tuples some engine demands this batch),
-  /// then each engine's ProcessEventBatch over the whole run. Shared by
-  /// FlushBatch (the pending buffer) and OnDataplaneEvents (caller spans).
+  /// Executes one contiguous run through every live engine's
+  /// ProcessEventBatch. Shared by FlushBatch (the pending buffer) and
+  /// OnDataplaneEvents (caller spans).
   void DeliverRun(const DataplaneEvent* events, std::size_t count) const {
-    if (fused_dirty_) RebuildFused();
-    fused_want_.assign(fused_.tuples(), 0);
     for (const auto& e : engines_)
-      if (e) e->MarkConsumableFusedSlots(fused_want_.data());
-    fused_.ComputeRows(events, count, fused_want_.data());
-    for (const auto& e : engines_)
-      if (e) e->ProcessEventBatch(events, count, &fused_, nullptr);
+      if (e) e->ProcessEventBatch(events, count, nullptr);
     // Same per-delivery arithmetic as DispatchTable::Deliver — interested
     // engines count as dispatched, the rest as filtered — folded into one
     // multiply per event type.
@@ -374,22 +348,6 @@ class MonitorSet : public DataplaneObserver {
     ++batch_flushes_;
   }
 
-  /// Re-interns every live engine's probe-site key tuples into the fused
-  /// table (dedup across properties) and hands each engine its slot map.
-  /// Runs lazily on the first flush after an attach/detach invalidated the
-  /// bindings.
-  void RebuildFused() const {
-    fused_.Reset();
-    for (const auto& e : engines_) {
-      if (!e) continue;
-      std::vector<std::uint32_t> slots;
-      for (const ProbeKeyTuple& t : e->ProbeKeyTuples())
-        slots.push_back(fused_.Intern(t.fields, t.types, t.filter));
-      e->BindFusedRows(std::move(slots));
-    }
-    fused_dirty_ = false;
-  }
-
   std::vector<std::unique_ptr<PropertyMonitor>> engines_;
   std::vector<std::string> engine_names_;
   DispatchTable dispatch_;
@@ -403,9 +361,6 @@ class MonitorSet : public DataplaneObserver {
   // Micro-batcher state (SetBatching). All mutable: see FlushBatch.
   std::size_t batch_window_ = 0;
   mutable std::vector<DataplaneEvent> pending_;
-  mutable FusedKeyTable fused_;
-  mutable std::vector<std::uint8_t> fused_want_;  // per-batch demand mask
-  mutable bool fused_dirty_ = true;
   mutable std::uint64_t batch_flushes_ = 0;
   mutable std::uint64_t batch_events_ = 0;
 };

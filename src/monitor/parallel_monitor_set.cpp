@@ -144,9 +144,6 @@ PropertyId ParallelMonitorSet::AttachProperty(Property property,
         shard_of_.push_back(0);  // placeholder: sharded slots span all workers
         MakeSharded(id, std::move(*plan));
         RebuildPool();
-        // Every worker gained a replica; refresh every fused table.
-        for (std::size_t w = 0; w < workers_.size(); ++w)
-          RebuildWorkerFused(w);
         return id;
       }
     }
@@ -158,7 +155,6 @@ PropertyId ParallelMonitorSet::AttachProperty(Property property,
     workers_[w]->table.Register(engines_[id].get(),
                                 static_cast<std::uint32_t>(id));
     workers_[w]->engine_indices.push_back(id);
-    RebuildWorkerFused(w);
   }
   return id;
 }
@@ -182,9 +178,6 @@ std::optional<std::vector<Violation>> ParallelMonitorSet::DetachProperty(
     active_groups_.erase(
         std::remove(active_groups_.begin(), active_groups_.end(), g),
         active_groups_.end());
-    // Every worker lost its replica; stale fused-table bindings must go
-    // before the next batch.
-    for (std::size_t w = 0; w < workers_.size(); ++w) RebuildWorkerFused(w);
     // Serial-order drain: the slot's markers over the retired lists.
     return MaterializeSlot(id);
   }
@@ -200,7 +193,6 @@ std::optional<std::vector<Violation>> ParallelMonitorSet::DetachProperty(
     indices.erase(std::remove(indices.begin(), indices.end(), id),
                   indices.end());
     worker_load_[w] -= weights_[id];
-    RebuildWorkerFused(w);
   }
   engines_[id].reset();
   return drained;
@@ -342,7 +334,6 @@ void ParallelMonitorSet::Start() {
     worker_load_[shard_of_[i]] += weights_[i];
   }
   RebuildPool();
-  for (std::size_t w = 0; w < n_workers; ++w) RebuildWorkerFused(w);
   started_ = true;
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers_[w]->thread =
@@ -376,21 +367,14 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
                                       const SlabBatch<DataplaneEvent>& batch) {
   const std::size_t n = batch.size;
   if (n == 0) return;
-  // Batch execution: one fused hash pass over the run for every engine
-  // resident on this worker, then each engine consumes the whole run
-  // through its batch entry point. Engines are independent state machines,
-  // so swapping the scalar loop's event/engine nesting is invisible to each
-  // engine's event stream; the per-event observability the scalar loop read
-  // inline (violation highwater marks, creation counts, live counts) comes
-  // back through the BatchEventResult array and is folded into the same
-  // markers and logs the scalar loop produced — bit-identical merges.
-  worker.fused_want.assign(worker.fused.tuples(), 0);
-  for (const std::size_t idx : worker.engine_indices)
-    engines_[idx]->MarkConsumableFusedSlots(worker.fused_want.data());
-  for (ShardedGroup* g : active_groups_)
-    g->replicas[worker_index]->MarkConsumableFusedSlots(
-        worker.fused_want.data());
-  worker.fused.ComputeRows(batch.items.data(), n, worker.fused_want.data());
+  // Batch execution: each engine resident on this worker consumes the
+  // whole run through its batch entry point. Engines are independent state
+  // machines, so swapping the scalar loop's event/engine nesting is
+  // invisible to each engine's event stream; the per-event observability
+  // the scalar loop read inline (violation highwater marks, creation
+  // counts, live counts) comes back through the BatchEventResult array and
+  // is folded into the same markers and logs the scalar loop produced —
+  // bit-identical merges.
   if (worker.results.size() < n) worker.results.resize(n);
   if (worker.ops.size() < n) worker.ops.resize(n);
 
@@ -411,8 +395,7 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
     PropertyMonitor* eng = engines_[idx].get();
     const EventTypeMask sig = eng->interest_signature();
     std::uint32_t prev = static_cast<std::uint32_t>(eng->violations().size());
-    eng->ProcessEventBatch(batch.items.data(), n, &worker.fused,
-                           worker.results.data());
+    eng->ProcessEventBatch(batch.items.data(), n, worker.results.data());
     const std::uint32_t slot = static_cast<std::uint32_t>(idx);
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t after = worker.results[i].violations_after;
@@ -468,7 +451,7 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
     }
     std::uint32_t prev = static_cast<std::uint32_t>(rep->violations().size());
     rep->ProcessShardedBatch(batch.items.data(), n, worker.ops.data(),
-                             &worker.fused, worker.results.data());
+                             worker.results.data());
     for (std::uint32_t i = 0; i < n; ++i) {
       const BatchEventResult& r = worker.results[i];
       const std::uint64_t seq = batch.base_seq + i;
@@ -492,20 +475,6 @@ void ParallelMonitorSet::ProcessBatch(Worker& worker,
   }
   worker.dispatched += dispatched;
   worker.filtered += filtered;
-}
-
-void ParallelMonitorSet::RebuildWorkerFused(std::size_t w) {
-  Worker& worker = *workers_[w];
-  worker.fused.Reset();
-  const auto bind = [&worker](PropertyMonitor* eng) {
-    std::vector<std::uint32_t> slots;
-    for (const ProbeKeyTuple& t : eng->ProbeKeyTuples())
-      slots.push_back(worker.fused.Intern(t.fields, t.types, t.filter));
-    eng->BindFusedRows(std::move(slots));
-  };
-  for (const std::size_t idx : worker.engine_indices)
-    bind(engines_[idx].get());
-  for (ShardedGroup* g : active_groups_) bind(g->replicas[w]);
 }
 
 void ParallelMonitorSet::OnDataplaneEvent(const DataplaneEvent& event) {
@@ -655,20 +624,6 @@ void ParallelMonitorSet::Stop() {
     if (w->thread.joinable()) w->thread.join();
   }
   stopped_ = true;
-}
-
-std::uint64_t ParallelMonitorSet::events_dispatched() {
-  Quiesce();
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->dispatched;
-  return total;
-}
-
-std::uint64_t ParallelMonitorSet::events_filtered() {
-  Quiesce();
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->filtered;
-  return total;
 }
 
 std::vector<Violation> ParallelMonitorSet::AllViolations() {

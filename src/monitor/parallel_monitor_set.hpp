@@ -80,7 +80,6 @@
 #include "event/event_batch.hpp"
 #include "event/spsc_ring.hpp"
 #include "monitor/dispatch_table.hpp"
-#include "monitor/fused_keys.hpp"
 #include "monitor/monitor_set.hpp"
 #include "monitor/shard_plan.hpp"
 
@@ -241,13 +240,6 @@ class ParallelMonitorSet : public DataplaneObserver {
   /// detach; the set also detaches itself on destruction.
   void AttachTelemetry(telemetry::MetricsRegistry* registry);
 
-  /// DEPRECATED shims (one PR): use TelemetrySnapshot() and
-  /// snapshot.counter("monitor.set.events_dispatched") instead.
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_dispatched();
-  [[deprecated("query via telemetry::Snapshot")]]
-  std::uint64_t events_filtered();
-
   /// Live properties' undrained violations concatenated in attach order —
   /// bit-identical to serial MonitorSet::AllViolations() on the same
   /// stream (and the same lifecycle ops), for every shard mode.
@@ -326,15 +318,6 @@ class ParallelMonitorSet : public DataplaneObserver {
     std::uint64_t dispatched = 0;
     std::uint64_t filtered = 0;
     std::vector<ViolationMarker> markers;
-    /// This worker's fused stage-0/link/suppression hash table over every
-    /// engine it runs (property-sharded residents plus its replica of each
-    /// instance-sharded group). Rebuilt by the producer at the
-    /// attach/detach quiesce points (RebuildWorkerFused), consumed by the
-    /// worker's per-batch ComputeRows pass.
-    FusedKeyTable fused;
-    /// Per-batch demand mask (MarkConsumableFusedSlots over the worker's
-    /// engines) — tuples nobody can consume this batch are not hashed.
-    std::vector<std::uint8_t> fused_want;
     /// Per-batch scratch for the batch entry points (sized once, reused).
     std::vector<ShardedBatchOp> ops;
     std::vector<BatchEventResult> results;
@@ -346,11 +329,6 @@ class ParallelMonitorSet : public DataplaneObserver {
   void WorkerLoop(Worker& worker, std::size_t worker_index);
   void ProcessBatch(Worker& worker, std::size_t worker_index,
                     const SlabBatch<DataplaneEvent>& batch);
-  /// Re-interns worker w's engines' probe-site key tuples into its fused
-  /// table and rebinds their slot maps. Producer-side, at Start and at the
-  /// attach/detach quiesce points (the same publication edge as the
-  /// dispatch-table mutations).
-  void RebuildWorkerFused(std::size_t w);
   /// Seals the in-fill batch and pushes it to every worker ring.
   void PublishCurrent();
   /// Publish the partial batch, wait for all workers to drain, then fold

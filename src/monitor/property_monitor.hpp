@@ -24,56 +24,12 @@
 #include <vector>
 
 #include "dataplane/switch.hpp"
-#include "event/event_batch.hpp"
 #include "monitor/eviction.hpp"
 #include "monitor/spec.hpp"
 #include "monitor/violation.hpp"
 #include "telemetry/snapshot.hpp"
 
 namespace swmon {
-
-class FusedKeyTable;
-
-/// Optional constant-condition gate on a probe key tuple: events failing
-/// the masked compare provably cannot reach the consuming probe (the
-/// engine's stage-0 fail-fast rejects them before any key is built), so
-/// the batch hash pass skips hashing them. Purely advisory — a row the
-/// hash pass skipped falls back to hash-at-probe, so an over-narrow
-/// filter costs time, never correctness.
-struct KeyConstFilter {
-  bool valid = false;    // false = no gate, always hash
-  bool negate = false;   // pass iff the masked compare DIFFERS
-  bool pass_if_absent = false;  // verdict when the field is missing
-  std::uint16_t field = 0;      // FieldId the condition tests
-  std::uint64_t mask = 0;
-  std::uint64_t imm = 0;
-
-  bool Matches(const FieldMap& fields) const {
-    if (!valid) return true;
-    const auto f = static_cast<FieldId>(field);
-    if (!fields.Has(f)) return pass_if_absent;
-    const bool eq = ((fields.GetUnchecked(f) ^ imm) & mask) == 0;
-    return negate ? !eq : eq;
-  }
-  bool SameAs(const KeyConstFilter& o) const {
-    return valid && o.valid && field == o.field && mask == o.mask &&
-           imm == o.imm && negate == o.negate &&
-           pass_if_absent == o.pass_if_absent;
-  }
-};
-
-/// One probe-site key tuple an engine exposes for cross-property hash
-/// fusion: the event fields whose values form the site's OpenMap key, in
-/// key order. See fused_keys.hpp.
-struct ProbeKeyTuple {
-  std::vector<std::uint16_t> fields;  // FieldId values
-  /// Event types on which the probe can actually run — the fused table
-  /// skips hashing the tuple for any other event.
-  EventTypeMask types = 0;
-  /// Per-event reachability gate (stage-0 fail-fast exported); tuples
-  /// shared by sites with different gates drop the gate and always hash.
-  KeyConstFilter filter;
-};
 
 /// Per-event observability record filled by the batch entry points, in
 /// event order. Batch callers (the parallel workers) reconstruct exactly
@@ -117,25 +73,11 @@ enum class EngineKind : std::uint8_t {
 
 const char* EngineKindName(EngineKind kind);
 
-// The pragma region silences the deprecated-member warning GCC/Clang emit
-// for MonitorConfig's *implicit* copy/move members (reported at the struct,
-// not the caller); explicit uses of the deprecated field still warn at
-// their own site.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 struct MonitorConfig {
   ProvenanceLevel provenance = ProvenanceLevel::kLimited;
   /// Bounded-memory eviction (the paper's space-consumption concern):
   /// policy + instance/byte caps; disabled by default. See eviction.hpp.
   EvictionConfig eviction;
-  /// DEPRECATED shim (one PR): use eviction.max_instances. Folded into the
-  /// eviction config by EffectiveEviction() when the new field is unset;
-  /// the legacy semantics (oldest-first eviction) is exactly
-  /// EvictionPolicy::kCreationOrder.
-  [[deprecated("use MonitorConfig::eviction (EvictionConfig) instead")]]
-  std::size_t max_instances = 0;
   /// Disables the link-key index (every lookup scans all instances at the
   /// stage). Exists for the store ablation bench; semantics are identical.
   bool force_linear_store = false;
@@ -149,24 +91,6 @@ struct MonitorConfig {
   /// does not lower (ablations, full provenance) fall back to the
   /// interpreter — CreatePropertyMonitor documents the exact rules.
   EngineKind engine = EngineKind::kDefault;
-
-  /// The eviction config engines actually run: `eviction`, with the legacy
-  /// max_instances field folded in when the new one is unset. Everything
-  /// that consults eviction (both engines, the shard-plan analysis, the
-  /// daemon) goes through this, so legacy callers keep their exact
-  /// oldest-first behaviour for the shim's one-PR lifetime.
-  EvictionConfig EffectiveEviction() const {
-    EvictionConfig e = eviction;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    if (e.max_instances == 0) e.max_instances = max_instances;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    return e;
-  }
 
   // Builder-style setters (chainable).
   MonitorConfig& WithEviction(EvictionConfig e) {
@@ -182,9 +106,6 @@ struct MonitorConfig {
     return *this;
   }
 };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 struct MonitorStats {
   std::uint64_t events = 0;
@@ -252,23 +173,19 @@ class PropertyMonitor : public DataplaneObserver {
     ProcessDispatchedEvent(event);
   }
 
-  // --- batch execution (PR 9) ---
+  // --- batch execution ---
   /// Feeds a whole run of events in order. Observationally identical to the
   /// scalar loop `for e: interested ? ProcessDispatchedEvent(e)
   /// : NoteFilteredEvent(e.time)` — same violations (bit-identical,
   /// including instance ids), same counters — but a native implementation
-  /// (CompiledEngine) may stage the work across the batch: hash keys up
-  /// front, prefetch probe targets a fixed distance ahead, then run the
-  /// per-event passes against warm lines. `fused` optionally carries
-  /// precomputed hash rows (the caller must have run
-  /// FusedKeyTable::ComputeRows over exactly these events) and may be null;
-  /// `results`, when non-null, must hold `count` entries and is filled with
-  /// the per-event observability marks. The default is the scalar loop —
-  /// the interpreter's fallback.
+  /// (CompiledEngine) may fold runs of events whose only effect is the
+  /// clock into one counter bump and one AdvanceTime. `results`, when
+  /// non-null, must hold `count` entries and is filled with the per-event
+  /// observability marks. The default is the scalar loop — the
+  /// interpreter's fallback.
   virtual void ProcessEventBatch(const DataplaneEvent* events,
-                                 std::size_t count, const FusedKeyTable* fused,
+                                 std::size_t count,
                                  BatchEventResult* results) {
-    (void)fused;
     for (std::size_t i = 0; i < count; ++i) {
       const DataplaneEvent& ev = events[i];
       if ((interest_ >> static_cast<int>(ev.type)) & 1) {
@@ -287,25 +204,14 @@ class PropertyMonitor : public DataplaneObserver {
     }
   }
 
-  /// Convenience wrapper over ProcessEventBatch for the SoA slab arenas the
-  /// parallel path drains (event_batch.hpp).
-  void ProcessBatch(const SlabBatch<DataplaneEvent>& batch,
-                    const FusedKeyTable* fused = nullptr,
-                    BatchEventResult* results = nullptr) {
-    ProcessEventBatch(batch.items.data(), batch.size, fused, results);
-  }
-
   /// Sharded-batch counterpart: per event, `ops[i]` says what the scalar
   /// worker loop would have done — NoteFilteredEvent / bare AdvanceTime /
   /// AdvanceTime + ProcessShardedEvent(stage_mask, count). results[i]
   /// .violations_clock is captured between the clock advance and the
   /// passes, which is the phase-0 (timer) / phase-1 (match) marker split.
-  virtual void ProcessShardedBatch(const DataplaneEvent* events,
-                                   std::size_t count,
-                                   const ShardedBatchOp* ops,
-                                   const FusedKeyTable* fused,
-                                   BatchEventResult* results) {
-    (void)fused;
+  void ProcessShardedBatch(const DataplaneEvent* events, std::size_t count,
+                           const ShardedBatchOp* ops,
+                           BatchEventResult* results) {
     for (std::size_t i = 0; i < count; ++i) {
       const DataplaneEvent& ev = events[i];
       const ShardedBatchOp& op = ops[i];
@@ -326,34 +232,6 @@ class PropertyMonitor : public DataplaneObserver {
         r.created_after = created_count();
       }
     }
-  }
-
-  /// Pure event-field key tuples this engine probes per event, in the
-  /// engine's site order — the contract for BindFusedRows. Empty (the
-  /// default) means the engine takes no part in hash fusion.
-  virtual std::vector<ProbeKeyTuple> ProbeKeyTuples() const { return {}; }
-
-  /// Binds this engine's probe sites to fused-table slots: slots[k] is the
-  /// owning set's FusedKeyTable slot for ProbeKeyTuples()[k]. Called by the
-  /// owner whenever it rebuilds its table (attach/detach); engines consume
-  /// the slots in ProcessEventBatch/ProcessShardedBatch when `fused` is
-  /// passed.
-  virtual void BindFusedRows(std::vector<std::uint32_t> slots) {
-    (void)slots;
-  }
-
-  /// Per-batch demand hint for the owner's fused hash pass: sets
-  /// `want[slot] = 1` for every bound fused slot whose probe this engine
-  /// could actually consume right now (a key site is wanted only while its
-  /// map holds entries — an empty map can't satisfy any lookup). The owner
-  /// zeroes `want` (FusedKeyTable::tuples() entries), polls every engine,
-  /// and skips hashing unwanted tuples entirely. Advisory, like
-  /// KeyConstFilter: a probe whose row was skipped hashes inline at the
-  /// probe, so a stale hint (an instance created mid-batch) degrades
-  /// fusion, not correctness. The default marks nothing — engines that
-  /// never bound slots have nothing to demand.
-  virtual void MarkConsumableFusedSlots(std::uint8_t* want) const {
-    (void)want;
   }
 
   /// Lifetime instances_created count. The sharded driver polls the delta

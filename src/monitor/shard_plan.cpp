@@ -49,7 +49,7 @@ std::optional<ShardPlan> BuildShardPlan(const Property& p,
   // Config shapes that route state through paths the analysis does not
   // cover: eviction order and scan lists are global, the naive-refresh
   // ablation walks entire stores.
-  if (config.EffectiveEviction().enabled())
+  if (config.eviction.enabled())
     return fail("bounded eviction: the victim order is global across instances");
   if (config.force_linear_store)
     return fail("force_linear_store: every instance lives in a scan list");

@@ -399,10 +399,6 @@ RecallReport MeasureRecall(const AdversarialStream& stream,
 
   MonitorConfig ocfg = bcfg;
   ocfg.eviction = EvictionConfig{};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ocfg.max_instances = 0;  // the oracle ignores the legacy cap too
-#pragma GCC diagnostic pop
 
   const auto run = [&stream](const MonitorConfig& cfg) {
     auto monitor = CreatePropertyMonitor(stream.property, cfg);

@@ -47,9 +47,8 @@ struct ScenarioOptions {
   std::size_t scale = 1;
 };
 
-/// Snapshot-backed read of a switch's modeled cost totals — the telemetry
-/// replacement for the deprecated SoftSwitch::counters() accessor; scenario
-/// runners use it to fill ScenarioOutcome::switch_costs.
+/// Snapshot-backed read of a switch's modeled cost totals; scenario runners
+/// use it to fill ScenarioOutcome::switch_costs.
 inline CostCounters SwitchCostsFromTelemetry(const SoftSwitch& sw) {
   const telemetry::Snapshot snap = sw.TelemetrySnapshot();
   const std::string prefix =

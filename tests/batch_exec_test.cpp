@@ -1,23 +1,26 @@
-// Differential harness for batch-mode execution (PR 9): the batch entry
-// points — MonitorSet's micro-batcher, PropertyMonitor::ProcessEventBatch /
+// Differential harness for batch-mode execution: the batch entry points —
+// MonitorSet's micro-batcher, PropertyMonitor::ProcessEventBatch /
 // ProcessShardedBatch, and the parallel workers' batched drains — must be
 // observationally bit-identical to scalar per-event delivery: same
 // violations (instance ids, binding order), same counters for everything
 // CollectInto publishes, including the compiled engine's OpenMap probe
 // telemetry and the lazily-maintained timer counters when a stream
-// interleaves AdvanceTime quiesce points with partial windows. Also covers
-// hot attach/detach invalidating the fused-key groups mid-stream, and the
-// sharded batch path across 1/2/4/8 workers in both shard modes.
+// interleaves AdvanceTime quiesce points with partial windows. The serial
+// sweep feeds both the fuzz soup and a keyed-arrival stream, where most
+// properties hold no live instances and the compiled engine's run folding
+// actually engages. Also covers hot attach/detach flushing buffered events
+// mid-stream, and the sharded batch path across 1/2/4/8 workers in both
+// shard modes.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "monitor/compiled/engine.hpp"
 #include "monitor/engine.hpp"
-#include "monitor/fused_keys.hpp"
 #include "monitor/monitor_set.hpp"
 #include "monitor/parallel_monitor_set.hpp"
 #include "properties/catalog.hpp"
@@ -42,6 +45,42 @@ std::vector<DataplaneEvent> FuzzSeedStream(std::uint64_t seed, int count) {
     for (std::size_t f = 0; f < kNumFieldIds; ++f) {
       if (rng.NextBool(0.35))
         ev.fields.Set(static_cast<FieldId>(f), rng.NextBelow(8));
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+/// bench_batch's keyed_arrival shape — TCP arrivals over a 256x256x512
+/// flow pool on a 1 us clock — with one unsolicited ARP reply egress for a
+/// fresh address every ~400 events. Most properties never see an event
+/// that can create an instance, so their live count stays 0 and whole
+/// runs fold; the ARP replies are the violations that keep the stream
+/// non-vacuous (dhcparp-no-direct-reply).
+std::vector<DataplaneEvent> KeyedArrivalStream(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<DataplaneEvent> events;
+  std::uint64_t next_address = 0x0a000001;
+  for (int i = 0; i < count; ++i) {
+    DataplaneEvent ev;
+    ev.time = SimTime::Zero() + Duration::Micros(i + 1);
+    if (rng.NextBelow(400) == 0) {
+      ev.type = DataplaneEventType::kEgress;
+      ev.fields.Set(FieldId::kOutPort, 1 + rng.NextBelow(4));
+      ev.fields.Set(FieldId::kArpOp, 2);
+      ev.fields.Set(FieldId::kArpSenderIp, next_address++);
+      ev.fields.Set(FieldId::kArpSenderMac, 0xb0 + rng.NextBelow(24));
+      ev.fields.Set(FieldId::kEgressAction,
+                    static_cast<std::uint64_t>(EgressActionValue::kForward));
+    } else {
+      ev.type = DataplaneEventType::kArrival;
+      ev.fields.Set(FieldId::kInPort, 1 + rng.NextBelow(4));
+      ev.fields.Set(FieldId::kPacketId, static_cast<std::uint64_t>(i) + 1);
+      ev.fields.Set(FieldId::kIpSrc, 1000 + rng.NextBelow(256));
+      ev.fields.Set(FieldId::kIpDst, 2000 + rng.NextBelow(256));
+      ev.fields.Set(FieldId::kIpProto, 6);
+      ev.fields.Set(FieldId::kL4SrcPort, 30000 + rng.NextBelow(512));
+      ev.fields.Set(FieldId::kL4DstPort, rng.NextBool(0.5) ? 80 : 443);
     }
     events.push_back(std::move(ev));
   }
@@ -93,42 +132,53 @@ void ExpectSnapshotsAgree(const telemetry::Snapshot& scalar,
 }
 
 /// Drives `set` through the stream with AdvanceTime quiesce points
-/// interleaved every `advance_every` events at a +25ms horizon — chosen
-/// coprime to the batch windows under test so partial windows span them.
+/// interleaved every `advance_every` events at `horizon` past the last
+/// event — the cadence is coprime to the batch windows under test so
+/// partial windows span the quiesce points.
 void Drive(MonitorSet& set, const std::vector<DataplaneEvent>& events,
-           std::size_t advance_every) {
+           std::size_t advance_every, Duration horizon) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     set.OnDataplaneEvent(events[i]);
     if (advance_every != 0 && (i + 1) % advance_every == 0)
-      set.AdvanceTime(events[i].time + Duration::Millis(25));
+      set.AdvanceTime(events[i].time + horizon);
   }
   set.AdvanceTime(events.back().time + Duration::Seconds(300));
 }
 
-class SerialBatchWindow : public ::testing::TestWithParam<std::size_t> {};
+enum class StreamKind { kFuzzSoup, kKeyedArrival };
+
+class SerialBatchWindow
+    : public ::testing::TestWithParam<std::tuple<std::size_t, StreamKind>> {};
 
 TEST_P(SerialBatchWindow, BatchedSetMatchesScalarSetBitForBit) {
-  const std::size_t window = GetParam();
+  const auto [window, stream] = GetParam();
+  const bool keyed = stream == StreamKind::kKeyedArrival;
+  // Quiesce horizons sized to each stream's clock: ~25 ms of fuzz soup
+  // (1-50 ms steps), ~25 events of keyed arrivals (1 us steps).
+  const Duration horizon =
+      keyed ? Duration::Micros(25) : Duration::Millis(25);
   const std::vector<Property> props = Table1Properties();
   ASSERT_EQ(props.size(), 13u);
   for (const EngineKind kind :
        {EngineKind::kCompiled, EngineKind::kInterpreted}) {
     for (const std::uint64_t seed : {7ull, 41ull}) {
-      const auto events = FuzzSeedStream(seed, 1200);
+      const auto events = keyed ? KeyedArrivalStream(seed, 2400)
+                                : FuzzSeedStream(seed, 1200);
       MonitorConfig cfg;
       cfg.engine = kind;
 
       MonitorSet scalar;
       for (const Property& p : props) scalar.Add(p, cfg);
-      Drive(scalar, events, /*advance_every=*/97);
+      Drive(scalar, events, /*advance_every=*/97, horizon);
 
       MonitorSet batched;
       batched.SetBatching(window);
       for (const Property& p : props) batched.Add(p, cfg);
-      Drive(batched, events, /*advance_every=*/97);
+      Drive(batched, events, /*advance_every=*/97, horizon);
 
       const std::string label =
-          "window=" + std::to_string(window) + " seed=" +
+          std::string(keyed ? "keyed" : "fuzz") +
+          " window=" + std::to_string(window) + " seed=" +
           std::to_string(seed) +
           (kind == EngineKind::kCompiled ? " compiled" : " interpreted");
       ExpectViolationsEq(scalar.AllViolations(), batched.AllViolations(),
@@ -140,15 +190,17 @@ TEST_P(SerialBatchWindow, BatchedSetMatchesScalarSetBitForBit) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Windows, SerialBatchWindow,
-                         ::testing::Values(1u, 3u, 16u, 64u));
+INSTANTIATE_TEST_SUITE_P(
+    Windows, SerialBatchWindow,
+    ::testing::Combine(::testing::Values(1u, 3u, 16u, 64u, 256u),
+                       ::testing::Values(StreamKind::kFuzzSoup,
+                                         StreamKind::kKeyedArrival)));
 
-TEST(SerialBatchTest, HotAttachDetachMidStreamInvalidatesFusedGroups) {
+TEST(SerialBatchTest, HotAttachDetachMidStreamFlushesBufferedEvents) {
   // Lifecycle ops land mid-window: the batcher must flush the partial run
   // (the new engine never sees buffered pre-attach events; the departing
-  // one still owes its buffered ones) and rebuild the fused-key table, and
-  // the result must equal a scalar set performing the identical ops at the
-  // identical stream offsets.
+  // one still owes its buffered ones), and the result must equal a scalar
+  // set performing the identical ops at the identical stream offsets.
   const std::vector<Property> props = Table1Properties();
   const auto events = FuzzSeedStream(13, 1500);
   MonitorConfig cfg;
@@ -161,7 +213,7 @@ TEST(SerialBatchTest, HotAttachDetachMidStreamInvalidatesFusedGroups) {
     for (std::size_t i = 0; i < events.size(); ++i) {
       set.OnDataplaneEvent(events[i]);
       if (i == 499) {
-        // Attach mid-stream (and mid-window): new fused rows next flush.
+        // Attach mid-stream (and mid-window).
         for (std::size_t k = 4; k < props.size(); ++k)
           ids.push_back(set.AttachProperty(props[k], cfg));
       }
@@ -266,8 +318,8 @@ TEST(BatchEngineDifferentialTest, ChunkedBatchesMatchScalarInterpreter) {
             interp->NoteFilteredEvent(ev.time);
           }
         }
-        // Compiled: the whole chunk at once, own-rows hash pass.
-        comp->ProcessEventBatch(&events[base], n, nullptr, results.data());
+        // Compiled: the whole chunk at once.
+        comp->ProcessEventBatch(&events[base], n, results.data());
         // The per-event marks must match the engine's own final state at
         // the chunk boundary.
         EXPECT_EQ(results[n - 1].violations_after, comp->violations().size())
@@ -301,41 +353,6 @@ TEST(BatchEngineDifferentialTest, ChunkedBatchesMatchScalarInterpreter) {
         if (name.rfind("monitor.compiled.", 0) != 0) ++sb_shared;
       EXPECT_EQ(sa.size(), sb_shared) << label;
     }
-  }
-}
-
-TEST(BatchEngineDifferentialTest, FusedRowsMatchOwnRowsHashing) {
-  // The fused-table path consumes hashes computed by FusedKeyTable
-  // (HashKeySpan) in place of the engine's own per-probe hashing
-  // (OpenMap::HashKey). If the two ever diverged, FindHashed would probe
-  // the wrong cells and the violation streams / probe counters below would
-  // split — so bit-parity here transitively pins the two hash functions to
-  // each other.
-  for (const Property& p : Table1Properties()) {
-    MonitorConfig cfg;
-    cfg.engine = EngineKind::kCompiled;
-    auto own = CreatePropertyMonitor(p, cfg);
-    auto fused_eng = CreatePropertyMonitor(p, cfg);
-
-    FusedKeyTable table;
-    std::vector<std::uint32_t> slots;
-    for (const ProbeKeyTuple& t : fused_eng->ProbeKeyTuples())
-      slots.push_back(table.Intern(t.fields, t.types, t.filter));
-    fused_eng->BindFusedRows(slots);
-
-    const auto events = FuzzSeedStream(77, 800);
-    constexpr std::size_t kChunk = 50;
-    for (std::size_t base = 0; base < events.size(); base += kChunk) {
-      const std::size_t n = std::min(kChunk, events.size() - base);
-      own->ProcessEventBatch(&events[base], n, nullptr, nullptr);
-      table.ComputeRows(&events[base], n);
-      fused_eng->ProcessEventBatch(&events[base], n, &table, nullptr);
-    }
-    ExpectViolationsEq(own->violations(), fused_eng->violations(), p.name);
-    telemetry::Snapshot sa, sb;
-    own->CollectInto(sa, "e");
-    fused_eng->CollectInto(sb, "e");
-    EXPECT_TRUE(sa == sb) << p.name;
   }
 }
 
@@ -390,11 +407,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ShardedCase{4, ShardMode::kInstance},
                       ShardedCase{8, ShardMode::kInstance}));
 
-TEST(ShardedBatchLifecycleTest, HotAttachDetachRebuildsWorkerFusedTables) {
+TEST(ShardedBatchLifecycleTest, HotAttachDetachFlushesAroundLifecycleOps) {
   // Hot lifecycle on a running pool: the quiesce-point attach/detach must
-  // rebuild every worker's fused table (stale slot bindings would read
-  // rows for the wrong key tuple), and the stream around the ops must
-  // still merge to the serial order.
+  // drain every batch published before the op (and no new engine may see
+  // them), and the stream around the ops must still merge to the serial
+  // order.
   const std::vector<Property> props = Table1Properties();
   const auto events = FuzzSeedStream(3, 1200);
   const SimTime end = events.back().time + Duration::Seconds(300);

@@ -62,30 +62,6 @@ TEST(EvictionConfigTest, PolicyNamesRoundTrip) {
   }
 }
 
-TEST(EvictionConfigTest, LegacyMaxInstancesFoldsIntoEviction) {
-  MonitorConfig mc;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  mc.max_instances = 77;  // the pre-EvictionConfig knob
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  // The shim preserves the legacy semantics exactly: oldest-first.
-  EvictionConfig e = mc.EffectiveEviction();
-  EXPECT_TRUE(e.enabled());
-  EXPECT_EQ(e.policy, EvictionPolicy::kCreationOrder);
-  EXPECT_EQ(e.max_instances, 77u);
-
-  // The new field wins when set.
-  mc.eviction = EvictionConfig{}.WithPolicy(EvictionPolicy::kLru)
-                    .WithMaxInstances(5);
-  e = mc.EffectiveEviction();
-  EXPECT_EQ(e.policy, EvictionPolicy::kLru);
-  EXPECT_EQ(e.max_instances, 5u);
-}
-
 TEST(EvictionConfigTest, ByteCapTranslatesThroughModelBytes) {
   const std::size_t per = ModelInstanceBytes(4);
   EvictionState st;
@@ -121,8 +97,8 @@ TEST(EvictionConfigTest, PropertyBuilderCarriesEvictionSetters) {
 
   // Feeds straight into an attachment config.
   const MonitorConfig cfg = MonitorConfig{}.WithEviction(e);
-  EXPECT_TRUE(cfg.EffectiveEviction().enabled());
-  EXPECT_EQ(cfg.EffectiveEviction().max_instances, 12u);
+  EXPECT_TRUE(cfg.eviction.enabled());
+  EXPECT_EQ(cfg.eviction.max_instances, 12u);
 }
 
 // --------------------------------------------------- victim-order semantics

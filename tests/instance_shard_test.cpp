@@ -256,6 +256,10 @@ TEST(InstanceShardTest, SingleHotPropertySpreadsInstancesAcrossReplicas) {
   ParallelConfig cfg;
   cfg.workers = 4;
   cfg.batch_capacity = 128;
+  // The pool caps at ring_capacity + 2 = 10 batches while the stream needs
+  // ~47 of 128 events, so the producer must recycle batches: reuse follows
+  // from arithmetic, not from how fast the workers wake.
+  cfg.ring_capacity = 8;
   cfg.shard_mode = ShardMode::kInstance;
   ParallelMonitorSet parallel(cfg);
   for (const Property& p : std::vector<Property>{hot}) parallel.Add(p);
