@@ -63,9 +63,10 @@ int main() {
     const SimTime end = events.back().time + Duration::Seconds(5);
 
     MonitorEngine sound(ArpProxyReplyDeadline());
-    MonitorConfig naive_cfg;
-    naive_cfg.naive_timeout_refresh = true;
-    MonitorEngine naive(ArpProxyReplyDeadline(), naive_cfg);
+    InterpreterAblation naive_refresh;
+    naive_refresh.naive_timeout_refresh = true;
+    MonitorEngine naive(ArpProxyReplyDeadline(), MonitorConfig{},
+                        naive_refresh);
     for (const auto& ev : events) {
       sound.ProcessEvent(ev);
       naive.ProcessEvent(ev);

@@ -15,7 +15,6 @@
 // via JsonReporter.
 // The CI smoke step runs under SWMON_BENCH_TINY and enforces the gate:
 // best batched 13-property ns/event must be <= 0.9x scalar compiled.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,17 +37,6 @@ const bool kTiny = std::getenv("SWMON_BENCH_TINY") != nullptr;
 const std::size_t kEvents = kTiny ? 2000 : 8000;
 const int kLaps = kTiny ? 4 : 40;
 const int kReps = kTiny ? 2 : 3;
-
-/// SWMON_BATCH — the same knob the daemon reads for serial tenants —
-/// names the "deployed" window here: it is always included in the sweep.
-std::size_t DeployedWindow() {
-  const char* s = std::getenv("SWMON_BATCH");
-  if (s == nullptr) return 64;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  return (end != s && *end == '\0' && v > 0) ? static_cast<std::size_t>(v)
-                                             : 64;
-}
 
 /// The fuzz-test event soup (bench_compiled's mixed stream): all three
 /// types, fields sprinkled at random in a small value range so stages
@@ -191,12 +179,8 @@ int main() {
       "every swept configuration");
 
   bench::JsonReporter json("batch");
-  const std::size_t deployed = DeployedWindow();
-  std::vector<std::size_t> windows = {8, 32, 64, 256};
-  if (std::find(windows.begin(), windows.end(), deployed) == windows.end()) {
-    windows.push_back(deployed);
-    std::sort(windows.begin(), windows.end());
-  }
+  // 64 is the window README recommends for `swmond --batch`.
+  const std::vector<std::size_t> windows = {8, 32, 64, 256};
   const struct {
     const char* name;
     std::vector<DataplaneEvent> events;

@@ -16,7 +16,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "monitor/engine.hpp"
+#include "common/threading.hpp"
 #include "monitor/features.hpp"
 #include "monitor/monitor_set.hpp"
 #include "monitor/property_builder.hpp"
@@ -28,6 +28,8 @@ namespace {
 
 constexpr std::size_t kEvents = 20000;
 constexpr int kReps = 5;
+// Interleaved direct/dispatched pairs behind the all-types guard.
+constexpr int kGatePairs = 101;
 
 std::vector<DataplaneEvent> SingleTypeStream(DataplaneEventType type,
                                              std::size_t count,
@@ -126,10 +128,12 @@ RunResult RunFiltered(const std::vector<Property>& props,
 RunResult RunBroadcast(const std::vector<Property>& props,
                        const std::vector<DataplaneEvent>& events) {
   RunResult out;
+  // Same factory and config as MonitorSet::Add, so the ratio measures
+  // filtering, not an engine difference.
   const auto make = [&] {
-    std::vector<std::unique_ptr<MonitorEngine>> engines;
+    std::vector<std::unique_ptr<PropertyMonitor>> engines;
     for (const Property& p : props)
-      engines.push_back(std::make_unique<MonitorEngine>(p));
+      engines.push_back(CreatePropertyMonitor(p, MonitorConfig{}));
     return engines;
   };
   out.ns_per_event = BestNsPerEvent(
@@ -253,28 +257,43 @@ int main() {
   // nothing from interest filtering, so dispatching to it must not cost
   // more than calling the engine directly (the all-interested fast path
   // skips the filtered-walk bookkeeping entirely). 1.5x absorbs timer
-  // noise; the regression this guards was ~2x and up.
+  // noise; the regression this guards was ~2x and up. The runs are
+  // interleaved pairs gated on the median per-pair ratio, and only event
+  // delivery is timed: building the engine or the set is not a per-event
+  // cost.
   {
     bench::Section("all-types property: dispatch overhead vs direct engine");
+    // One CPU, as in bench_telemetry_overhead: a migration would land cold
+    // caches on one side of a pair. Last section, so the pin can stay.
+    const bool pinned = PinCurrentThreadToCpu(0);
     const Property probe = AllTypesProbe();
     const auto events = MixedTypeStream(kEvents, 7);
-    const double direct_ns = BestNsPerEvent(
+    // Both sides build the engine through the factory from one config, so
+    // the ratio is dispatch overhead, not an engine difference.
+    const MonitorConfig config;
+    const bench::PairedTiming t = bench::PairedAB(
+        kGatePairs,
         [&] {
-          MonitorEngine engine(probe);
-          for (const DataplaneEvent& ev : events) engine.ProcessEvent(ev);
+          const auto engine = CreatePropertyMonitor(probe, config);
+          return bench::Seconds([&] {
+            for (const DataplaneEvent& ev : events) engine->ProcessEvent(ev);
+          });
         },
-        events.size());
-    const double dispatched_ns = BestNsPerEvent(
         [&] {
           MonitorSet set;
-          set.Add(probe);
-          for (const DataplaneEvent& ev : events) set.OnDataplaneEvent(ev);
-        },
-        events.size());
-    const double overhead =
-        direct_ns > 0 ? dispatched_ns / direct_ns : 0;
-    std::printf("  direct %.1f ns/ev | dispatched %.1f ns/ev | %.2fx\n",
-                direct_ns, dispatched_ns, overhead);
+          set.Add(probe, config);
+          return bench::Seconds([&] {
+            for (const DataplaneEvent& ev : events) set.OnDataplaneEvent(ev);
+          });
+        });
+    const double n = static_cast<double>(events.size());
+    const double direct_ns = t.a_s / n * 1e9;
+    const double dispatched_ns = t.b_s / n * 1e9;
+    const double overhead = t.ratio;
+    std::printf("  direct %.1f ns/ev | dispatched %.1f ns/ev | %.2fx (median "
+                "of %d pairs%s; quartiles %.2fx / %.2fx)\n",
+                direct_ns, dispatched_ns, overhead, kGatePairs,
+                pinned ? ", one CPU" : ", unpinned", t.ratio_q1, t.ratio_q3);
     json.AddRow()
         .Str("stream", "all_types_guard")
         .Num("direct_ns_per_event", direct_ns)

@@ -49,9 +49,9 @@ void RunEngine(benchmark::State& state, bool linear) {
   const Property prop = FirewallReturnNotDropped();
   std::uint64_t violations = 0;
   for (auto _ : state) {
-    MonitorConfig mc;
-    mc.force_linear_store = linear;
-    MonitorEngine engine(prop, mc);
+    InterpreterAblation ablation;
+    ablation.force_linear_store = linear;
+    MonitorEngine engine(prop, MonitorConfig{}, ablation);
     for (const auto& ev : events) engine.ProcessEvent(ev);
     violations += engine.violations().size();
   }

@@ -3,18 +3,20 @@
 // The telemetry design promise (DESIGN.md §5g) is that instrumenting the
 // monitor hot path costs < 3%: engines keep plain single-threaded counter
 // shards (merged only at snapshot time), and the only per-event addition is
-// a 1-in-16 sampled pair of steady_clock reads feeding the dispatch-latency
+// a 1-in-64 sampled pair of steady_clock reads feeding the dispatch-latency
 // histogram. Both hot paths exist in every binary as the two
 // specializations of MonitorSet::DeliverEvent<bool> — the SWMON_TELEMETRY
 // macro merely selects which one OnDataplaneEvent calls — so this bench
-// times them head-to-head in one process and FAILS (exit 1) if the
-// instrumented path is >= 3% slower. Emits BENCH_telemetry_overhead.json.
+// times them as interleaved A/B pairs in one process and FAILS (exit 1) if
+// the median per-pair ratio says the instrumented path is >= 3% slower.
+// Emits BENCH_telemetry_overhead.json.
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/threading.hpp"
 #include "monitor/monitor_set.hpp"
 #include "properties/catalog.hpp"
 #include "telemetry/metrics.hpp"
@@ -78,35 +80,32 @@ int main() {
                 "snapshot-merged telemetry must cost the monitor hot path "
                 "< 3% vs the compile-time no-op dispatch");
 
+  // One CPU for the whole run: a migration would land cold caches on
+  // whichever side happens to be running.
+  const bool pinned = PinCurrentThreadToCpu(0);
   const std::vector<Property> props = Table1Properties();
   const auto events = EventSoup(/*seed=*/99, /*count=*/60000);
-  const int kReps = 9;
+  const int kPairs = 161;
 
-  // Warm both paths, then measure the reps INTERLEAVED (plain, instrumented,
-  // plain, ...) so frequency drift or a noisy co-tenant hits both sides
-  // equally instead of landing entirely on whichever block ran second.
-  // Best-of on each side then compares the two paths at the machine's
-  // quietest moments.
-  OneRepSeconds<false>(props, events);
+  OneRepSeconds<false>(props, events);  // warm both paths
   OneRepSeconds<true>(props, events);
-  double plain_s = 0.0, instr_s = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double p = OneRepSeconds<false>(props, events);
-    const double i = OneRepSeconds<true>(props, events);
-    if (rep == 0 || p < plain_s) plain_s = p;
-    if (rep == 0 || i < instr_s) instr_s = i;
-  }
+  const bench::PairedTiming t = bench::PairedAB(
+      kPairs, [&] { return OneRepSeconds<false>(props, events); },
+      [&] { return OneRepSeconds<true>(props, events); });
 
   const double n = static_cast<double>(events.size());
-  const double plain_ns = plain_s / n * 1e9;
-  const double instr_ns = instr_s / n * 1e9;
-  const double overhead_pct = (instr_s / plain_s - 1.0) * 100.0;
+  const double plain_ns = t.a_s / n * 1e9;
+  const double instr_ns = t.b_s / n * 1e9;
+  const double overhead_pct = (t.ratio - 1.0) * 100.0;
 
   bench::Section("instrumented vs no-op dispatch (13 Table-1 properties)");
   std::printf("%16s | %12s\n", "path", "ns/event");
   std::printf("%16s | %12.1f\n", "no-op", plain_ns);
   std::printf("%16s | %12.1f\n", "instrumented", instr_ns);
-  std::printf("\noverhead: %+.2f%% (budget < 3%%)\n", overhead_pct);
+  std::printf("\noverhead: %+.2f%% (median of %d pairs%s; quartiles %+.2f%% "
+              "/ %+.2f%%; budget < 3%%)\n",
+              overhead_pct, kPairs, pinned ? ", one CPU" : ", unpinned",
+              (t.ratio_q1 - 1.0) * 100.0, (t.ratio_q3 - 1.0) * 100.0);
 
   bench::JsonReporter json("telemetry_overhead");
   json.AddRow()
@@ -119,7 +118,10 @@ int main() {
       .Num("ns_per_event", instr_ns)
       .Num("events", n)
       .Num("properties", static_cast<double>(props.size()));
-  json.AddRow().Str("path", "summary").Num("overhead_pct", overhead_pct);
+  json.AddRow()
+      .Str("path", "summary")
+      .Num("overhead_pct", overhead_pct)
+      .Num("pairs", kPairs);
   json.Flush();
 
   if (overhead_pct >= 3.0) {

@@ -8,6 +8,8 @@
 // tree. EXPERIMENTS.md records the outputs next to the paper's claims.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,6 +33,61 @@ inline void Section(const char* title) {
 inline std::string Pad(std::string s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
   return s;
+}
+
+/// Wall-clock seconds one call of `run` takes.
+template <typename F>
+double Seconds(F&& run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// What PairedAB measured: per-side median seconds and the distribution of
+/// the per-pair ratios b/a.
+struct PairedTiming {
+  double a_s = 0;
+  double b_s = 0;
+  double ratio = 0;  // median of the per-pair ratios: what gates compare
+  double ratio_q1 = 0;
+  double ratio_q3 = 0;
+};
+
+/// Runs `pairs` interleaved A/B pairs, alternating which side goes first
+/// so frequency drift, a noisy co-tenant or an order effect land on both
+/// sides alike. Each callable returns the seconds it timed, so set-up can
+/// stay outside the timed region. Gating on the median per-pair ratio
+/// means one disturbed rep moves one ratio, not the verdict — best-of on
+/// each side compares two unrelated quiet moments instead.
+template <typename A, typename B>
+PairedTiming PairedAB(int pairs, A&& a, B&& b) {
+  std::vector<double> as, bs, ratios;
+  for (int i = 0; i < pairs; ++i) {
+    double ta = 0, tb = 0;
+    if (i % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    as.push_back(ta);
+    bs.push_back(tb);
+    ratios.push_back(tb / ta);
+  }
+  const auto quantile = [](std::vector<double> v, std::size_t num,
+                           std::size_t den) {
+    std::sort(v.begin(), v.end());
+    return v[(v.size() - 1) * num / den];
+  };
+  PairedTiming t;
+  t.a_s = quantile(as, 1, 2);
+  t.b_s = quantile(bs, 1, 2);
+  t.ratio = quantile(ratios, 1, 2);
+  t.ratio_q1 = quantile(ratios, 1, 4);
+  t.ratio_q3 = quantile(ratios, 3, 4);
+  return t;
 }
 
 /// Collects rows of {key: string|number} results and writes them as

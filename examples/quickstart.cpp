@@ -4,9 +4,10 @@
 //      "A->B seen, then B->A dropped").
 //   2. Build a tiny network: one switch running a (buggy) firewall, one
 //      inside host, one outside host.
-//   3. Attach a monitor to the switch and run traffic (the interpreter
-//      by default; SWMON_ENGINE=compiled selects the bytecode engine —
-//      same violations either way).
+//   3. Attach a monitor to the switch and run traffic (the compiled
+//      bytecode engine by default; MonitorConfig::engine =
+//      EngineKind::kInterpreted selects the reference interpreter — same
+//      violations either way).
 //   4. Read the violations.
 //
 // Build & run:  ./build/examples/quickstart
@@ -64,8 +65,8 @@ int main() {
   net.Attach(1, PortId{2}, bob);
 
   // --- 3. attach the monitor and run traffic ---------------------------
-  // CreatePropertyMonitor picks the engine: the interpreter unless
-  // MonitorConfig::engine (or SWMON_ENGINE=compiled) says otherwise.
+  // CreatePropertyMonitor picks the engine: compiled unless
+  // MonitorConfig::engine says otherwise.
   auto monitor_ptr = CreatePropertyMonitor(property);
   PropertyMonitor& monitor = *monitor_ptr;
   sw.AddObserver(&monitor);

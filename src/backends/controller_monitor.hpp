@@ -4,8 +4,8 @@
 // quickly becomes expensive to do externally": an off-switch monitor must
 // receive a copy of every packet that could advance or violate a property.
 // ControllerMonitor models that: every dataplane event is mirrored over the
-// control channel (bytes counted), and the reference engine processes it
-// after half a controller round trip — so detection also lags.
+// control channel (bytes counted), and a monitor engine processes it after
+// half a controller round trip — so detection also lags.
 //
 // Contrast with an on-switch monitor, whose control-channel traffic is just
 // the violation notifications.
@@ -15,7 +15,7 @@
 #include <string>
 #include <string_view>
 
-#include "monitor/engine.hpp"
+#include "monitor/property_monitor.hpp"
 
 namespace swmon {
 
@@ -23,7 +23,7 @@ class ControllerMonitor : public DataplaneObserver {
  public:
   ControllerMonitor(Property property, const CostParams& params,
                     MonitorConfig config = {})
-      : engine_(std::make_unique<MonitorEngine>(std::move(property), config)),
+      : engine_(CreatePropertyMonitor(std::move(property), config)),
         params_(params) {}
 
   void OnDataplaneEvent(const DataplaneEvent& event) override {
@@ -39,13 +39,13 @@ class ControllerMonitor : public DataplaneObserver {
     engine_->AdvanceTime(now + params_.controller_rtt / 2);
   }
 
-  const MonitorEngine& engine() const { return *engine_; }
   const std::vector<Violation>& violations() const {
     return engine_->violations();
   }
 
   /// Publishes `backend.controller.<name>.{events_mirrored,bytes_mirrored}`
-  /// counters plus the wrapped engine's `monitor.engine.<name>.*` family.
+  /// counters plus the wrapped engine's `monitor.engine.<name>.*` family
+  /// (and `monitor.compiled.<name>.*` when it runs compiled).
   void CollectInto(telemetry::Snapshot& snap, std::string_view name) const {
     std::string prefix = "backend.controller.";
     prefix.append(name);
@@ -61,7 +61,7 @@ class ControllerMonitor : public DataplaneObserver {
   }
 
  private:
-  std::unique_ptr<MonitorEngine> engine_;
+  std::unique_ptr<PropertyMonitor> engine_;
   CostParams params_;
   std::uint64_t events_mirrored_ = 0;
   std::uint64_t bytes_mirrored_ = 0;

@@ -77,14 +77,6 @@ std::string ViolationsToJson(const std::vector<Violation>& violations) {
 SwmonDaemon::SwmonDaemon(SwmondOptions options)
     : options_(std::move(options)) {
   if (options_.max_round_events == 0) options_.max_round_events = 1;
-  if (options_.batch == 0) {
-    if (const char* env = std::getenv("SWMON_BATCH")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0')
-        options_.batch = static_cast<std::size_t>(v);
-    }
-  }
 }
 
 SwmonDaemon::~SwmonDaemon() { Stop(); }

@@ -66,9 +66,9 @@ struct SwmondOptions {
   /// Per-tenant monitor execution (see TenantOptions).
   std::size_t workers = 0;
   ShardMode shard_mode = ShardMode::kProperty;
-  /// Serial tenants' micro-batch window. 0 = take the SWMON_BATCH env var
-  /// if set, else per-event delivery. The pump's per-round Flush bounds
-  /// how long a partial window can sit buffered.
+  /// Serial tenants' micro-batch window; 0 = per-event delivery. The
+  /// pump's per-round Flush bounds how long a partial window can sit
+  /// buffered.
   std::size_t batch = 0;
   MonitorConfig monitor;
   std::size_t violation_capacity = 4096;

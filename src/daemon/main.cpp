@@ -28,8 +28,8 @@ void Usage(const char* argv0) {
                "                      kernel-assigned, printed at start)\n"
                "  --workers N         per-tenant monitor workers (0/1 = serial)\n"
                "  --batch N           serial tenants buffer N events and run\n"
-               "                      them as one batch (0 = per-event; the\n"
-               "                      SWMON_BATCH env var sets the default)\n"
+               "                      them as one batch (default 0 =\n"
+               "                      per-event)\n"
                "  --shard-mode M      worker sharding: property (default),\n"
                "                      instance, or auto (instance-shard while\n"
                "                      a tenant has fewer properties than\n"

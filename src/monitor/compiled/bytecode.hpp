@@ -67,13 +67,17 @@ struct Instr {
   std::uint8_t flags = 0;
   std::uint16_t field = 0;    // FieldId operand
   std::uint16_t var = 0;      // env slot (rhs var / bind target)
-  std::uint16_t aux = 0;      // forbidden-run length / hash-input count
+  std::uint32_t aux = 0;      // forbidden-run length / hash-input count
   std::uint32_t aux_pos = 0;  // slice start in Program::aux_fields
   std::uint32_t modulus = 1;
   std::uint32_t base = 0;
   std::uint64_t mask = ~std::uint64_t{0};
   std::uint64_t imm = 0;      // constant rhs
 };
+// aux is 32 bits so no forbidden group or hash binding an SPL spec can
+// carry wraps; it sits in what would otherwise be padding, so an
+// instruction stays 40 bytes.
+static_assert(sizeof(Instr) == 40);
 
 /// Entry point of one flattened pattern.
 struct PatternCode {
@@ -137,9 +141,13 @@ struct Program {
   std::size_t num_stages() const { return stages.size(); }
 };
 
-/// Lowers a validated Property. nullopt when the property exceeds the
-/// compiled representation (more than 64 stages or 64 variables) — the
-/// factory then falls back to the interpreter.
+/// True when the compiled representation can hold `property`: at most 64
+/// stages and 64 variables (the per-type stage masks and the packed
+/// record's boundness word). ResolveEngineKind's fallback rule, so the
+/// factory and the compiler cannot disagree.
+bool Lowerable(const Property& property);
+
+/// Lowers a validated Property; nullopt exactly when !Lowerable(property).
 std::optional<Program> CompileProperty(const Property& property);
 
 /// Human-readable listing (one instruction per line) for debugging

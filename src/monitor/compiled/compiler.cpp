@@ -40,7 +40,7 @@ PatternCode EmitPattern(const Pattern& p, Program& prog) {
   if (!p.forbidden.empty()) {
     Instr f{};
     f.op = Op::kForbidden;
-    f.aux = static_cast<std::uint16_t>(p.forbidden.size());
+    f.aux = static_cast<std::uint32_t>(p.forbidden.size());
     prog.code.push_back(f);
     for (const Condition& c : p.forbidden)
       prog.code.push_back(LowerCondition(c));
@@ -82,7 +82,7 @@ std::uint32_t EmitBindRun(const Stage& st, Program& prog) {
         break;
       case Binding::Kind::kHashPort:
         i.op = Op::kBindHash;
-        i.aux = static_cast<std::uint16_t>(b.hash_inputs.size());
+        i.aux = static_cast<std::uint32_t>(b.hash_inputs.size());
         i.aux_pos = static_cast<std::uint32_t>(prog.aux_fields.size());
         for (FieldId f : b.hash_inputs)
           prog.aux_fields.push_back(static_cast<std::uint16_t>(f));
@@ -113,13 +113,12 @@ bool TypeCompatible(const PatternCode& pc, std::size_t type) {
 
 }  // namespace
 
+bool Lowerable(const Property& property) {
+  return property.num_stages() <= 64 && property.num_vars() <= 64;
+}
+
 std::optional<Program> CompileProperty(const Property& property) {
-  // The per-type stage masks and the packed record's boundness word cap
-  // the representation at 64 stages / 64 variables.
-  if (property.num_stages() > 64 || property.num_vars() > 64)
-    return std::nullopt;
-  for (const Stage& st : property.stages)
-    if (st.pattern.forbidden.size() > 0xffff) return std::nullopt;
+  if (!Lowerable(property)) return std::nullopt;
 
   Program prog;
   prog.name = property.name;

@@ -159,26 +159,6 @@ CompiledEngine::CompiledEngine(Property property, MonitorConfig config)
   InitFailFast();
 }
 
-CompiledEngine::CompiledEngine(Property property, Program program,
-                               MonitorConfig config)
-    : property_(std::move(property)),
-      prog_(std::move(program)),
-      config_(config),
-      timers_([this](std::uint64_t slot, SimTime deadline) {
-        OnTimerExpiry(static_cast<std::uint32_t>(slot), deadline);
-      }) {
-  const std::string err = property_.Validate();
-  SWMON_ASSERT_MSG(err.empty(), err.c_str());
-  interest_ = prog_.interest;
-  stride_ = kWVars + static_cast<std::uint32_t>(prog_.num_vars());
-  stores_.resize(prog_.num_stages());
-  scratch_vars_.resize(prog_.num_vars());
-  ecfg_ = config_.eviction;
-  eviction_.Configure(ecfg_, prog_.num_vars());
-  evict_enabled_ = eviction_.enabled();
-  InitFailFast();
-}
-
 void CompiledEngine::InitFailFast() {
   const Instr& first = prog_.code[prog_.stages[0].pattern.begin];
   if (first.op == Op::kCondConstEq || first.op == Op::kCondConstNe) {

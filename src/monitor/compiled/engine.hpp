@@ -144,13 +144,13 @@ class OpenMap {
   mutable ProbeStats probe_;
 };
 
-class CompiledEngine : public PropertyMonitor {
+/// final: lets ProcessDispatchedEvent call ProcessEvent without a second
+/// virtual dispatch (bench_dispatch's all-types guard times that path).
+class CompiledEngine final : public PropertyMonitor {
  public:
-  /// Compiles internally; asserts the property is compilable (callers that
-  /// need the fallback path go through CreatePropertyMonitor).
+  /// Compiles internally; asserts compiled::Lowerable(property) (callers
+  /// that need the fallback path go through CreatePropertyMonitor).
   explicit CompiledEngine(Property property, MonitorConfig config = {});
-  /// Adopts a program already produced by CompileProperty(property).
-  CompiledEngine(Property property, Program program, MonitorConfig config);
 
   CompiledEngine(const CompiledEngine&) = delete;
   CompiledEngine& operator=(const CompiledEngine&) = delete;

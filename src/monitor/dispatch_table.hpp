@@ -67,17 +67,20 @@ class DispatchTable {
   void Deliver(const DataplaneEvent& event, std::uint64_t& dispatched,
                std::uint64_t& filtered) const {
     const Lists& list = lists(event.type);
+    // Sizes are read before any engine runs: the engine calls are opaque,
+    // so reading them afterwards would reload both vectors.
+    const std::size_t n_filtered = list.filtered.size();
+    dispatched += list.interested.size();
     for (const Entry& e : list.interested)
       e.engine->ProcessDispatchedEvent(event);
-    dispatched += list.interested.size();
     // All-interested fast path: when nothing is filtered for this type
     // (the common case — one attached property subscribed to every event
     // type), skip the filtered walk and its counter write entirely so the
     // pre-filtered path costs no more than direct delivery (bench_dispatch
     // guards the parity).
-    if (list.filtered.empty()) return;
+    if (n_filtered == 0) return;
     for (const Entry& e : list.filtered) e.engine->NoteFilteredEvent(event.time);
-    filtered += list.filtered.size();
+    filtered += n_filtered;
   }
 
  private:

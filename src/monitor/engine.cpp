@@ -9,9 +9,11 @@
 
 namespace swmon {
 
-MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
+MonitorEngine::MonitorEngine(Property property, MonitorConfig config,
+                             InterpreterAblation ablation)
     : property_(std::move(property)),
       config_(config),
+      ablation_(ablation),
       timers_([this](std::uint64_t id, SimTime deadline) {
         OnTimerExpiry(id, deadline);
       }) {
@@ -24,7 +26,7 @@ MonitorEngine::MonitorEngine(Property property, MonitorConfig config)
 
   interest_ = InterestSignature(property_);
   stores_.resize(property_.num_stages());
-  if (!config_.force_linear_store) {
+  if (!ablation_.force_linear_store) {
     for (std::size_t k = 1; k < property_.num_stages(); ++k) {
       const Stage& st = property_.stages[k];
       if (st.kind != StageKind::kEvent) continue;
@@ -321,7 +323,7 @@ void MonitorEngine::ProcessEvent(const DataplaneEvent& event) {
   AdvanceTime(event.time);
   RunAbortPass(event, ~std::uint64_t{0});
   RunAdvancePass(event, ~std::uint64_t{0});
-  if (config_.naive_timeout_refresh) RunNaiveRefreshPass(event);
+  if (ablation_.naive_timeout_refresh) RunNaiveRefreshPass(event);
   RunCreatePass(event);
   RunSuppressorPass(event);
   stats_.peak_live = std::max(stats_.peak_live, instances_.size());
@@ -342,7 +344,7 @@ void MonitorEngine::ProcessShardedEvent(const DataplaneEvent& event,
   AdvanceTime(event.time);
   RunAbortPass(event, stage_mask);
   RunAdvancePass(event, stage_mask);
-  if (config_.naive_timeout_refresh) RunNaiveRefreshPass(event);
+  if (ablation_.naive_timeout_refresh) RunNaiveRefreshPass(event);
   if (stage_mask & 1) {
     RunCreatePass(event);
     RunSuppressorPass(event);
@@ -351,7 +353,7 @@ void MonitorEngine::ProcessShardedEvent(const DataplaneEvent& event,
 }
 
 void MonitorEngine::RunNaiveRefreshPass(const DataplaneEvent& ev) {
-  // Unsound-by-design ablation (see MonitorConfig::naive_timeout_refresh):
+  // Unsound-by-design ablation (InterpreterAblation::naive_timeout_refresh):
   // an event re-matching the observation BEFORE a pending timeout stage
   // resets that stage's timer, postponing the negative observation.
   for (std::size_t k = 1; k < property_.num_stages(); ++k) {

@@ -41,9 +41,26 @@
 
 namespace swmon {
 
+/// Interpreter-only ablation modes. The compiled engine has no counterpart,
+/// so they are constructor arguments here rather than MonitorConfig fields;
+/// the ablation benches and the store-equivalence tests build MonitorEngine
+/// directly to use them.
+struct InterpreterAblation {
+  /// Disables the link-key index (every lookup scans all instances at the
+  /// stage). Exists for the store ablation bench; semantics are identical.
+  bool force_linear_store = false;
+  /// Unsound on purpose: re-arm a pending timeout-action window whenever
+  /// the observation preceding it re-fires. This is the naive semantics
+  /// Sec 2.3 warns against — "a never-answered sequence of requests every
+  /// (T-1) seconds would not be detected as a violation". bench_ablation
+  /// measures exactly that miss.
+  bool naive_timeout_refresh = false;
+};
+
 class MonitorEngine : public PropertyMonitor {
  public:
-  explicit MonitorEngine(Property property, MonitorConfig config = {});
+  explicit MonitorEngine(Property property, MonitorConfig config = {},
+                         InterpreterAblation ablation = {});
 
   // Not copyable/movable: stage stores hold interior references.
   MonitorEngine(const MonitorEngine&) = delete;
@@ -170,6 +187,7 @@ class MonitorEngine : public PropertyMonitor {
 
   Property property_;
   MonitorConfig config_;
+  InterpreterAblation ablation_;
   MonitorStats stats_;
   std::vector<Violation> violations_;
 

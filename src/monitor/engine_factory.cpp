@@ -1,8 +1,5 @@
 // Engine selection for CreatePropertyMonitor (see property_monitor.hpp).
 
-#include <cstdlib>
-#include <string_view>
-
 #include "monitor/compiled/bytecode.hpp"
 #include "monitor/compiled/engine.hpp"
 #include "monitor/engine.hpp"
@@ -12,8 +9,6 @@ namespace swmon {
 
 const char* EngineKindName(EngineKind kind) {
   switch (kind) {
-    case EngineKind::kDefault:
-      return "default";
     case EngineKind::kInterpreted:
       return "interpreted";
     case EngineKind::kCompiled:
@@ -24,36 +19,17 @@ const char* EngineKindName(EngineKind kind) {
 
 EngineKind ResolveEngineKind(const Property& property,
                              const MonitorConfig& config) {
-  EngineKind kind = config.engine;
-  if (kind == EngineKind::kDefault) {
-    // Read per call, not cached: tests and the daemon flip it per attach.
-    const char* env = std::getenv("SWMON_ENGINE");
-    kind = (env != nullptr && std::string_view(env) == "compiled")
-               ? EngineKind::kCompiled
-               : EngineKind::kInterpreted;
-  }
-  if (kind == EngineKind::kCompiled) {
-    const bool lowerable = !config.force_linear_store &&
-                           !config.naive_timeout_refresh &&
-                           config.provenance != ProvenanceLevel::kFull &&
-                           property.num_stages() <= 64 &&
-                           property.num_vars() <= 64;
-    if (!lowerable) kind = EngineKind::kInterpreted;
-  }
-  return kind;
+  if (config.engine == EngineKind::kCompiled &&
+      config.provenance != ProvenanceLevel::kFull &&
+      compiled::Lowerable(property))
+    return EngineKind::kCompiled;
+  return EngineKind::kInterpreted;
 }
 
 std::unique_ptr<PropertyMonitor> CreatePropertyMonitor(Property property,
                                                        MonitorConfig config) {
-  if (ResolveEngineKind(property, config) == EngineKind::kCompiled) {
-    // ResolveEngineKind's size caps match CompileProperty's, so this cannot
-    // assert; compile here (not in the ctor) to keep one compilation.
-    std::optional<compiled::Program> program =
-        compiled::CompileProperty(property);
-    if (program.has_value())
-      return std::make_unique<CompiledEngine>(std::move(property),
-                                              std::move(*program), config);
-  }
+  if (ResolveEngineKind(property, config) == EngineKind::kCompiled)
+    return std::make_unique<CompiledEngine>(std::move(property), config);
   return std::make_unique<MonitorEngine>(std::move(property), config);
 }
 

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "monitor/engine.hpp"  // CalibrateShardWeights' throwaway probe
 
 namespace swmon {
 
@@ -14,19 +13,22 @@ std::vector<double> CalibrateShardWeights(
   std::vector<double> weights;
   weights.reserve(properties.size());
   for (const Property& p : properties) {
-    MonitorEngine probe(p, config);
-    const EventTypeMask sig = probe.interest_signature();
+    // The engine that will run: candidate_checks is bit-identical across
+    // engines, so the weights do not depend on the choice.
+    const std::unique_ptr<PropertyMonitor> probe =
+        CreatePropertyMonitor(p, config);
+    const EventTypeMask sig = probe->interest_signature();
     for (const DataplaneEvent& ev : sample) {
       if (sig >> static_cast<std::size_t>(ev.type) & 1) {
-        probe.ProcessEvent(ev);
+        probe->ProcessEvent(ev);
       } else {
-        probe.AdvanceTime(ev.time);  // mirror the filtered clock-only path
+        probe->AdvanceTime(ev.time);  // mirror the filtered clock-only path
       }
     }
     // candidate_checks counts instances examined across lookups — the
     // dominant per-event cost. +1 keeps never-matching engines schedulable.
     telemetry::Snapshot snap;
-    probe.CollectInto(snap, "probe");
+    probe->CollectInto(snap, "probe");
     weights.push_back(1.0 + static_cast<double>(snap.counter(
                                 "monitor.engine.probe.candidate_checks")));
   }

@@ -6,9 +6,11 @@
 // runs an ahead-of-time-lowered bytecode program over packed state
 // records. Both implement PropertyMonitor; MonitorSet /
 // ParallelMonitorSet / DispatchTable hold only this interface, so the
-// engine is selectable per property (MonitorConfig::engine, or the
-// SWMON_ENGINE environment variable for kDefault) and hot-attachable
-// through the daemon lifecycle path like any other property.
+// engine is selectable per property (MonitorConfig::engine) and
+// hot-attachable through the daemon lifecycle path like any other
+// property. The compiled engine is the default; the interpreter is the
+// differential oracle and the fallback for what the compiler does not
+// lower.
 //
 // The two engines are required to be observationally identical: same
 // violation stream (bit-identical, including instance ids and binding
@@ -64,9 +66,8 @@ struct ShardedBatchOp {
 
 /// Which execution engine runs a property.
 enum class EngineKind : std::uint8_t {
-  /// Resolve at attach time: SWMON_ENGINE=interpreted|compiled if set,
-  /// else the interpreter.
-  kDefault = 0,
+  /// The reference interpreter: the oracle differential tests compare
+  /// against, and the fallback for configurations kCompiled does not lower.
   kInterpreted,
   kCompiled,
 };
@@ -78,19 +79,10 @@ struct MonitorConfig {
   /// Bounded-memory eviction (the paper's space-consumption concern):
   /// policy + instance/byte caps; disabled by default. See eviction.hpp.
   EvictionConfig eviction;
-  /// Disables the link-key index (every lookup scans all instances at the
-  /// stage). Exists for the store ablation bench; semantics are identical.
-  bool force_linear_store = false;
-  /// ABLATION (unsound on purpose): re-arm a pending timeout-action window
-  /// whenever the observation preceding it re-fires. This is the naive
-  /// semantics Sec 2.3 warns against — "a never-answered sequence of
-  /// requests every (T-1) seconds would not be detected as a violation".
-  /// bench_ablation measures exactly that miss.
-  bool naive_timeout_refresh = false;
   /// Engine selection; see EngineKind. Configurations the compiled engine
-  /// does not lower (ablations, full provenance) fall back to the
-  /// interpreter — CreatePropertyMonitor documents the exact rules.
-  EngineKind engine = EngineKind::kDefault;
+  /// does not lower fall back to the interpreter — CreatePropertyMonitor
+  /// documents the exact rules.
+  EngineKind engine = EngineKind::kCompiled;
 
   // Builder-style setters (chainable).
   MonitorConfig& WithEviction(EvictionConfig e) {
@@ -269,18 +261,15 @@ class PropertyMonitor : public DataplaneObserver {
   EventTypeMask interest_ = kAllEventTypes;
 };
 
-/// Builds the engine MonitorConfig::engine selects. kDefault consults the
-/// SWMON_ENGINE environment variable ("interpreted" / "compiled"; unset or
-/// unrecognized = interpreted) at every call, so tests and the daemon can
-/// flip it per attach. Falls back to the interpreter — regardless of the
-/// requested kind — for configurations the compiled lowering does not
-/// cover: force_linear_store, naive_timeout_refresh (ablation modes) and
-/// ProvenanceLevel::kFull (history capture).
+/// Builds the engine MonitorConfig::engine selects. A kCompiled request
+/// falls back to the interpreter for what the compiled lowering does not
+/// cover: ProvenanceLevel::kFull (history capture) and properties outside
+/// compiled::Lowerable (more than 64 stages or variables).
 std::unique_ptr<PropertyMonitor> CreatePropertyMonitor(Property property,
                                                        MonitorConfig config = {});
 
-/// The kind CreatePropertyMonitor would instantiate for this config
-/// (after SWMON_ENGINE resolution and fallback rules) — never kDefault.
+/// The kind CreatePropertyMonitor would instantiate for this config, after
+/// the fallback rules.
 EngineKind ResolveEngineKind(const Property& property,
                              const MonitorConfig& config);
 

@@ -46,15 +46,10 @@ std::optional<ShardPlan> BuildShardPlan(const Property& p,
 
   if (p.num_stages() == 0 || p.num_stages() > 64)
     return fail("stage count outside the 64-bit stage-mask width");
-  // Config shapes that route state through paths the analysis does not
-  // cover: eviction order and scan lists are global, the naive-refresh
-  // ablation walks entire stores.
+  // Eviction routes state through a path the analysis does not cover: the
+  // victim order is global.
   if (config.eviction.enabled())
     return fail("bounded eviction: the victim order is global across instances");
-  if (config.force_linear_store)
-    return fail("force_linear_store: every instance lives in a scan list");
-  if (config.naive_timeout_refresh)
-    return fail("naive_timeout_refresh: refresh walks whole stage stores");
   if (!p.suppressors.empty())
     return fail("suppressors: the suppression set is global keyed state");
 

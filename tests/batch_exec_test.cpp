@@ -10,7 +10,7 @@
 // properties hold no live instances and the compiled engine's run folding
 // actually engages. Also covers hot attach/detach flushing buffered events
 // mid-stream, and the sharded batch path across 1/2/4/8 workers in both
-// shard modes.
+// shard modes on both engines.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -363,15 +363,17 @@ struct ShardedCase {
   ShardMode mode;
 };
 
-class ShardedBatchParity : public ::testing::TestWithParam<ShardedCase> {};
+class ShardedBatchParity
+    : public ::testing::TestWithParam<std::tuple<ShardedCase, EngineKind>> {};
 
 TEST_P(ShardedBatchParity, WorkersDrainingBatchesMatchSerial) {
-  const auto [workers, mode] = GetParam();
+  const auto [shard, kind] = GetParam();
+  const auto [workers, mode] = shard;
   const std::vector<Property> props = Table1Properties();
   const auto events = FuzzSeedStream(99, 1500);
   const SimTime end = events.back().time + Duration::Seconds(300);
   MonitorConfig cfg;
-  cfg.engine = EngineKind::kCompiled;
+  cfg.engine = kind;
 
   MonitorSet serial;
   for (const Property& p : props) serial.Add(p, cfg);
@@ -391,21 +393,24 @@ TEST_P(ShardedBatchParity, WorkersDrainingBatchesMatchSerial) {
 
   const std::string label =
       "workers=" + std::to_string(workers) +
-      (mode == ShardMode::kInstance ? " instance" : " property");
+      (mode == ShardMode::kInstance ? " instance " : " property ") +
+      EngineKindName(kind);
   ExpectViolationsEq(serial.AllViolations(), parallel.AllViolations(), label);
   EXPECT_GT(serial.TotalViolations(), 0u) << label << " (vacuous)";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ShardedBatchParity,
-    ::testing::Values(ShardedCase{1, ShardMode::kProperty},
-                      ShardedCase{2, ShardMode::kProperty},
-                      ShardedCase{4, ShardMode::kProperty},
-                      ShardedCase{8, ShardMode::kProperty},
-                      ShardedCase{1, ShardMode::kInstance},
-                      ShardedCase{2, ShardMode::kInstance},
-                      ShardedCase{4, ShardMode::kInstance},
-                      ShardedCase{8, ShardMode::kInstance}));
+    ::testing::Combine(
+        ::testing::Values(ShardedCase{1, ShardMode::kProperty},
+                          ShardedCase{2, ShardMode::kProperty},
+                          ShardedCase{4, ShardMode::kProperty},
+                          ShardedCase{8, ShardMode::kProperty},
+                          ShardedCase{1, ShardMode::kInstance},
+                          ShardedCase{2, ShardMode::kInstance},
+                          ShardedCase{4, ShardMode::kInstance},
+                          ShardedCase{8, ShardMode::kInstance}),
+        ::testing::Values(EngineKind::kCompiled, EngineKind::kInterpreted)));
 
 TEST(ShardedBatchLifecycleTest, HotAttachDetachFlushesAroundLifecycleOps) {
   // Hot lifecycle on a running pool: the quiesce-point attach/detach must

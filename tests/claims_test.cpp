@@ -5,6 +5,7 @@
 #include "backends/backend.hpp"
 #include "backends/controller_monitor.hpp"
 #include "backends/executor.hpp"
+#include "monitor/engine.hpp"
 #include "monitor/property_builder.hpp"
 #include "properties/catalog.hpp"
 #include "workload/learning_scenario.hpp"

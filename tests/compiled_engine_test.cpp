@@ -3,14 +3,14 @@
 // (MonitorEngine) — same violation streams (instance ids, binding order),
 // same counters for everything CollectInto publishes — on fuzz seed
 // streams and the full property catalog, serially and through the
-// 1/2/4-worker parallel set. Also covers engine selection (MonitorConfig /
-// SWMON_ENGINE / fallback rules), the serialize → parse → compile round
-// trip for the 13 Table-1 properties, and minimized regressions for the
-// two interpreter hot-path bugs the differential harness originally
-// exposed (repro streams under tests/data/).
+// 1/2/4-worker parallel set. Also covers engine selection (the compiled
+// default and the interpreter fallback rules), forbidden groups and hash
+// bindings with more members than 16 bits count, the serialize → parse →
+// compile round trip for the 13 Table-1 properties, and minimized
+// regressions for the two interpreter hot-path bugs the differential
+// harness originally exposed (repro streams under tests/data/).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -209,57 +209,140 @@ TEST(CompiledRoundTripTest, Table1SerializeParseCompileParity) {
   EXPECT_GT(total_violations, 0u);
 }
 
+DataplaneEvent Ev(DataplaneEventType type, std::int64_t ms,
+                  std::initializer_list<std::pair<FieldId, std::uint64_t>> kv) {
+  DataplaneEvent ev;
+  ev.type = type;
+  ev.time = SimTime::Zero() + Duration::Millis(ms);
+  for (const auto& [k, v] : kv) ev.fields.Set(k, v);
+  return ev;
+}
+
 // ------------------------------------------------- engine selection
 
-TEST(EngineSelectionTest, ConfigAndEnvironmentPickTheEngine) {
+TEST(EngineSelectionTest, CompiledIsTheDefaultAndConfigPicksTheEngine) {
   const Property prop = FirewallReturnNotDropped();
 
-  MonitorConfig cfg;
-  cfg.engine = EngineKind::kCompiled;
-  EXPECT_EQ(ResolveEngineKind(prop, cfg), EngineKind::kCompiled);
+  const MonitorConfig defaults;
+  EXPECT_EQ(ResolveEngineKind(prop, defaults), EngineKind::kCompiled);
   EXPECT_NE(dynamic_cast<CompiledEngine*>(
-                CreatePropertyMonitor(prop, cfg).get()),
+                CreatePropertyMonitor(prop, defaults).get()),
             nullptr);
 
+  MonitorConfig cfg;
   cfg.engine = EngineKind::kInterpreted;
   EXPECT_EQ(ResolveEngineKind(prop, cfg), EngineKind::kInterpreted);
   EXPECT_NE(dynamic_cast<MonitorEngine*>(
                 CreatePropertyMonitor(prop, cfg).get()),
             nullptr);
-
-  // kDefault: SWMON_ENGINE decides, per call; unset means interpreter.
-  cfg.engine = EngineKind::kDefault;
-  ::unsetenv("SWMON_ENGINE");
-  EXPECT_EQ(ResolveEngineKind(prop, cfg), EngineKind::kInterpreted);
-  ::setenv("SWMON_ENGINE", "compiled", 1);
-  EXPECT_EQ(ResolveEngineKind(prop, cfg), EngineKind::kCompiled);
-  EXPECT_NE(dynamic_cast<CompiledEngine*>(
-                CreatePropertyMonitor(prop, cfg).get()),
-            nullptr);
-  ::setenv("SWMON_ENGINE", "interpreted", 1);
-  EXPECT_EQ(ResolveEngineKind(prop, cfg), EngineKind::kInterpreted);
-  ::unsetenv("SWMON_ENGINE");
 }
 
 TEST(EngineSelectionTest, UnloweredConfigsFallBackToTheInterpreter) {
   const Property prop = FirewallReturnNotDropped();
-  MonitorConfig cfg;
-  cfg.engine = EngineKind::kCompiled;
-
-  MonitorConfig linear = cfg;
-  linear.force_linear_store = true;
-  EXPECT_EQ(ResolveEngineKind(prop, linear), EngineKind::kInterpreted);
-
-  MonitorConfig naive = cfg;
-  naive.naive_timeout_refresh = true;
-  EXPECT_EQ(ResolveEngineKind(prop, naive), EngineKind::kInterpreted);
-
-  MonitorConfig full = cfg;
+  MonitorConfig full;
   full.provenance = ProvenanceLevel::kFull;
   EXPECT_EQ(ResolveEngineKind(prop, full), EngineKind::kInterpreted);
   EXPECT_NE(dynamic_cast<MonitorEngine*>(
                 CreatePropertyMonitor(prop, full).get()),
             nullptr);
+
+  // 65 stages: one past the 64-bit per-type stage masks.
+  PropertyBuilder b("deep", "65 chained stages");
+  for (std::uint64_t k = 0; k < 65; ++k)
+    b.AddStage("s" + std::to_string(k))
+        .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, k).Build());
+  const Property deep = std::move(b).Build();
+  EXPECT_EQ(ResolveEngineKind(deep, MonitorConfig{}),
+            EngineKind::kInterpreted);
+  EXPECT_NE(dynamic_cast<MonitorEngine*>(CreatePropertyMonitor(deep).get()),
+            nullptr);
+}
+
+/// `n` copies of `item`, joined by `sep`.
+std::string Repeat(const std::string& item, const std::string& sep,
+                   std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i) out += sep;
+    out += item;
+  }
+  return out;
+}
+
+TEST(EngineSelectionTest, OperandCountsPastSixteenBitsCompileExactly) {
+  // Instr::aux holds a forbidden group's length and a hash binding's input
+  // count. A 16-bit count wrapped 65,536 members to 0 in every pattern the
+  // compiler emits — stage, abort and suppressor — and such properties
+  // arrive as SPL over swmond's HTTP plane, so they must run compiled and
+  // report what the interpreter reports.
+  constexpr std::size_t kMembers = 65536;
+  const std::string forbids = Repeat("forbid l4_dst == 1;", "\n", kMembers);
+  const std::string open_stage =
+      "property big {\n  vars A;\n"
+      "  stage \"open\" on arrival { match in_port == 1; bind A = ip_src; }\n";
+  const std::string drop_stage =
+      "  stage \"dropped\" on egress {\n"
+      "    match ip_src == $A; match egress_action == drop;\n";
+  const auto drop = static_cast<std::uint64_t>(EgressActionValue::kDrop);
+  const struct {
+    const char* name;
+    std::string spl;
+    std::vector<DataplaneEvent> events;
+    std::size_t violations;  // what the interpreter reports
+  } cases[] = {
+      // The abort matches (l4_dst != 1 breaks the forbidden group) and
+      // discharges the obligation before the drop.
+      {"abort",
+       open_stage + drop_stage + "    unless on arrival {\n" +
+           "      match ip_src == $A;\n" + forbids + "\n    }\n  }\n}\n",
+       {Ev(DataplaneEventType::kArrival, 1,
+           {{FieldId::kInPort, 1}, {FieldId::kIpSrc, 7}}),
+        Ev(DataplaneEventType::kArrival, 2,
+           {{FieldId::kInPort, 2}, {FieldId::kIpSrc, 7}, {FieldId::kL4DstPort, 2}}),
+        Ev(DataplaneEventType::kEgress, 3,
+           {{FieldId::kIpSrc, 7}, {FieldId::kEgressAction, drop}})},
+       0},
+      // The suppressor records ip_src 7, so the later open never starts
+      // an instance.
+      {"suppressor",
+       open_stage + drop_stage + "  }\n  suppress key (ip_src);\n" +
+           "  suppress when on arrival {\n    match in_port == 2;\n" + forbids +
+           "\n  } key (ip_src);\n}\n",
+       {Ev(DataplaneEventType::kArrival, 1,
+           {{FieldId::kInPort, 2}, {FieldId::kIpSrc, 7}, {FieldId::kL4DstPort, 2}}),
+        Ev(DataplaneEventType::kArrival, 2,
+           {{FieldId::kInPort, 1}, {FieldId::kIpSrc, 7}}),
+        Ev(DataplaneEventType::kEgress, 3,
+           {{FieldId::kIpSrc, 7}, {FieldId::kEgressAction, drop}})},
+       0},
+      // The violation reports the hashed binding.
+      {"hash binding",
+       "property big {\n  vars A;\n  stage \"open\" on arrival {\n"
+       "    match in_port == 1;\n    bind A = hash(" +
+           Repeat("l4_dst", ", ", kMembers) +
+           ") % 1000;\n  }\n"
+           "  stage \"dropped\" on egress { match egress_action == drop; }\n}\n",
+       {Ev(DataplaneEventType::kArrival, 1,
+           {{FieldId::kInPort, 1}, {FieldId::kL4DstPort, 5}}),
+        Ev(DataplaneEventType::kEgress, 2, {{FieldId::kEgressAction, drop}})},
+       1},
+  };
+  for (const auto& c : cases) {
+    const auto parsed = ParseSpl(c.spl);
+    ASSERT_TRUE(parsed.ok()) << c.name << ": " << parsed.error;
+    MonitorConfig cfg;
+    cfg.engine = EngineKind::kCompiled;
+    EXPECT_EQ(ResolveEngineKind(*parsed.property, cfg), EngineKind::kCompiled)
+        << c.name;
+    MonitorEngine oracle(*parsed.property);
+    auto monitor = CreatePropertyMonitor(*parsed.property, cfg);
+    for (const DataplaneEvent& ev : c.events) {
+      oracle.ProcessEvent(ev);
+      monitor->ProcessEvent(ev);
+    }
+    EXPECT_EQ(oracle.violations().size(), c.violations) << c.name;
+    ExpectEnginesAgree(oracle, *monitor, c.name);
+  }
 }
 
 // ------------------------------------------------- parallel parity
@@ -384,15 +467,6 @@ std::vector<DataplaneEvent> LoadReproStream(
     return events;
   }
   return inline_events;
-}
-
-DataplaneEvent Ev(DataplaneEventType type, std::int64_t ms,
-                  std::initializer_list<std::pair<FieldId, std::uint64_t>> kv) {
-  DataplaneEvent ev;
-  ev.type = type;
-  ev.time = SimTime::Zero() + Duration::Millis(ms);
-  for (const auto& [k, v] : kv) ev.fields.Set(k, v);
-  return ev;
 }
 
 TEST(RegressionTest, AbsentLinkFieldStillAdvances) {

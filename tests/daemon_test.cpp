@@ -488,6 +488,11 @@ TEST(SwmonDaemonTest, SocketTextIngestToViolationsOverHttp) {
   WaitForIngest(daemon, 2);
   ASSERT_EQ(daemon.events_ingested(), 2u);
 
+  // The attached property runs on the compiled engine, the default: only
+  // it publishes the monitor.compiled.* probe family.
+  EXPECT_TRUE(daemon.Telemetry().Has(
+      "daemon.tenant.acme.monitor.compiled.two_step.probes"));
+
   ASSERT_TRUE(HttpRoundTrip(daemon.http_port(), "GET",
                             "/violations?tenant=acme", "", &status, &body,
                             &error))

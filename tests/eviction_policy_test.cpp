@@ -394,52 +394,57 @@ TEST(EvictionShardedParity, MergedCountersExactAtEveryWorkerCount) {
   // Eviction-enabled properties are ineligible for instance sharding
   // (victim order is global), so they property-shard; the merged
   // violations and eviction counters must equal the serial run's exactly
-  // at every worker count.
+  // at every worker count, on both engines.
   const AdversarialStream stream = FirewallEvasionStream({});
   const Property dhcp = DhcpReplyDeadline();
 
-  const auto cfg_for = [](EvictionPolicy policy) {
-    MonitorConfig cfg;
-    cfg.eviction = EvictionConfig{}.WithPolicy(policy).WithMaxInstances(16);
-    return cfg;
-  };
+  for (const EngineKind kind : {EngineKind::kCompiled,
+                                EngineKind::kInterpreted}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const auto cfg_for = [&](EvictionPolicy policy) {
+      MonitorConfig cfg;
+      cfg.engine = kind;
+      cfg.eviction = EvictionConfig{}.WithPolicy(policy).WithMaxInstances(16);
+      return cfg;
+    };
 
-  MonitorSet serial;
-  serial.Add(stream.property, cfg_for(EvictionPolicy::kCreationOrder));
-  serial.Add(dhcp, cfg_for(EvictionPolicy::kTimeoutPriority));
-  for (const DataplaneEvent& ev : stream.events)
-    serial.OnDataplaneEvent(ev);
-  serial.AdvanceTime(stream.horizon);
-  const telemetry::Snapshot want = serial.TelemetrySnapshot();
-
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ParallelConfig pc;
-    pc.workers = workers;
-    pc.batch_capacity = 64;
-    ParallelMonitorSet parallel(pc);
-    parallel.Add(stream.property, cfg_for(EvictionPolicy::kCreationOrder));
-    parallel.Add(dhcp, cfg_for(EvictionPolicy::kTimeoutPriority));
-    parallel.Start();
+    MonitorSet serial;
+    serial.Add(stream.property, cfg_for(EvictionPolicy::kCreationOrder));
+    serial.Add(dhcp, cfg_for(EvictionPolicy::kTimeoutPriority));
     for (const DataplaneEvent& ev : stream.events)
-      parallel.OnDataplaneEvent(ev);
-    parallel.AdvanceTime(stream.horizon);
-    parallel.Stop();
-    const telemetry::Snapshot got = parallel.TelemetrySnapshot();
+      serial.OnDataplaneEvent(ev);
+    serial.AdvanceTime(stream.horizon);
+    const telemetry::Snapshot want = serial.TelemetrySnapshot();
 
-    for (const auto& [name, sample] : want.samples()) {
-      ASSERT_TRUE(got.Has(name))
-          << "workers=" << workers << " missing " << name;
-      EXPECT_TRUE(sample == got.samples().at(name))
-          << "workers=" << workers << " diverges at " << name;
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      ParallelConfig pc;
+      pc.workers = workers;
+      pc.batch_capacity = 64;
+      ParallelMonitorSet parallel(pc);
+      parallel.Add(stream.property, cfg_for(EvictionPolicy::kCreationOrder));
+      parallel.Add(dhcp, cfg_for(EvictionPolicy::kTimeoutPriority));
+      parallel.Start();
+      for (const DataplaneEvent& ev : stream.events)
+        parallel.OnDataplaneEvent(ev);
+      parallel.AdvanceTime(stream.horizon);
+      parallel.Stop();
+      const telemetry::Snapshot got = parallel.TelemetrySnapshot();
+
+      for (const auto& [name, sample] : want.samples()) {
+        ASSERT_TRUE(got.Has(name))
+            << "workers=" << workers << " missing " << name;
+        EXPECT_TRUE(sample == got.samples().at(name))
+            << "workers=" << workers << " diverges at " << name;
+      }
+      // The eviction telemetry specifically (exact merged counts).
+      EXPECT_GT(want.counter("monitor.engine.fw-return-not-dropped-timeout."
+                             "evictions.policy.creation-order"),
+                0u);
+      EXPECT_EQ(got.counter("monitor.engine.fw-return-not-dropped-timeout."
+                            "evictions.policy.creation-order"),
+                want.counter("monitor.engine.fw-return-not-dropped-timeout."
+                             "evictions.policy.creation-order"));
     }
-    // The eviction telemetry specifically (exact merged counts).
-    EXPECT_GT(want.counter("monitor.engine.fw-return-not-dropped-timeout."
-                           "evictions.policy.creation-order"),
-              0u);
-    EXPECT_EQ(got.counter("monitor.engine.fw-return-not-dropped-timeout."
-                          "evictions.policy.creation-order"),
-              want.counter("monitor.engine.fw-return-not-dropped-timeout."
-                           "evictions.policy.creation-order"));
   }
 }
 

@@ -170,10 +170,10 @@ TEST(EngineFuzz, IndexedAndLinearAgreeOnTheSoup) {
     events.push_back(std::move(ev));
   }
   for (const auto& entry : BuildCatalog()) {
-    MonitorConfig linear;
+    InterpreterAblation linear;
     linear.force_linear_store = true;
     MonitorEngine a(entry.property);
-    MonitorEngine b(entry.property, linear);
+    MonitorEngine b(entry.property, MonitorConfig{}, linear);
     for (const auto& ev : events) {
       a.ProcessEvent(ev);
       b.ProcessEvent(ev);

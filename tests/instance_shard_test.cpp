@@ -3,17 +3,19 @@
 // replicas by instance identity has to reassemble the exact serial
 // violation stream (same order, same serial instance ids), the exact
 // per-engine counters, and survive hot attach/detach — at every worker
-// count and batch schedule. Replays the fuzz seed streams through the 13
-// Table-1 catalog properties (shard-eligible ones split, the rest fall
-// back to property sharding in the same set) plus a dedicated
-// single-hot-property sweep that actually spreads instances across
-// replicas. Carries the `tsan` CTest label.
+// count and batch schedule, on both engines (the compiled default and the
+// interpreter the factory falls back to). Replays the fuzz seed streams
+// through the 13 Table-1 catalog properties (shard-eligible ones split,
+// the rest fall back to property sharding in the same set) plus a
+// dedicated single-hot-property sweep that actually spreads instances
+// across replicas. Carries the `tsan` CTest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,6 +50,16 @@ std::vector<DataplaneEvent> FuzzSeedStream(std::uint64_t seed, int count) {
     events.push_back(std::move(ev));
   }
   return events;
+}
+
+constexpr EngineKind kBothEngines[] = {EngineKind::kCompiled,
+                                       EngineKind::kInterpreted};
+
+/// Both sides of every parity check run `kind`.
+MonitorConfig EngineConfig(EngineKind kind) {
+  MonitorConfig cfg;
+  cfg.engine = kind;
+  return cfg;
 }
 
 std::vector<Property> Table1Properties() {
@@ -162,9 +174,10 @@ struct SerialReference {
 
 std::unique_ptr<SerialReference> RunSerial(
     const std::vector<Property>& props,
-    const std::vector<DataplaneEvent>& events, SimTime final_advance) {
+    const std::vector<DataplaneEvent>& events, SimTime final_advance,
+    const MonitorConfig& mcfg) {
   auto ref = std::make_unique<SerialReference>();
-  for (const Property& p : props) ref->set.Add(p);
+  for (const Property& p : props) ref->set.Add(p, mcfg);
   std::vector<std::size_t> seen(props.size(), 0);
   const auto collect = [&] {
     for (std::size_t i = 0; i < props.size(); ++i) {
@@ -181,24 +194,26 @@ std::unique_ptr<SerialReference> RunSerial(
   return ref;
 }
 
-class InstanceShardParity : public ::testing::TestWithParam<std::size_t> {};
+class InstanceShardParity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, EngineKind>> {};
 
 TEST_P(InstanceShardParity, Table1StreamsMatchSerialExactly) {
-  const std::size_t workers = GetParam();
+  const auto [workers, kind] = GetParam();
+  const MonitorConfig mcfg = EngineConfig(kind);
   const std::vector<Property> props = Table1Properties();
   ASSERT_EQ(props.size(), 13u);
 
   for (const std::uint64_t seed : {99ull, 123ull}) {
     const auto events = FuzzSeedStream(seed, 1200);
     const SimTime end = events.back().time + Duration::Seconds(300);
-    const auto serial = RunSerial(props, events, end);
+    const auto serial = RunSerial(props, events, end, mcfg);
 
     ParallelConfig cfg;
     cfg.workers = workers;
     cfg.batch_capacity = 64;
     cfg.shard_mode = ShardMode::kInstance;
     ParallelMonitorSet parallel(cfg);
-    for (const Property& p : props) parallel.Add(p);
+    for (const Property& p : props) parallel.Add(p, mcfg);
     parallel.Start();
 
     // Non-vacuous: the catalog must contain shard-eligible properties and
@@ -214,8 +229,9 @@ TEST_P(InstanceShardParity, Table1StreamsMatchSerialExactly) {
     parallel.AdvanceTime(end);
     parallel.Stop();
 
-    const std::string label =
-        "workers=" + std::to_string(workers) + " seed=" + std::to_string(seed);
+    const std::string label = "workers=" + std::to_string(workers) +
+                              " seed=" + std::to_string(seed) + " " +
+                              EngineKindName(kind);
 
     const auto serial_all = serial->set.AllViolations();
     const auto parallel_all = parallel.AllViolations();
@@ -238,8 +254,10 @@ TEST_P(InstanceShardParity, Table1StreamsMatchSerialExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, InstanceShardParity,
-                         ::testing::Values(1u, 2u, 4u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    Workers, InstanceShardParity,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::ValuesIn(kBothEngines)));
 
 TEST(InstanceShardTest, SingleHotPropertySpreadsInstancesAcrossReplicas) {
   // The paper's hot-property case: ONE keyed property, many concurrent
@@ -251,62 +269,67 @@ TEST(InstanceShardTest, SingleHotPropertySpreadsInstancesAcrossReplicas) {
 
   const auto events = PairStream(2026, 6000, /*keys=*/80);
   const SimTime end = events.back().time + Duration::Seconds(120);
-  const auto serial = RunSerial({hot}, events, end);
+  for (const EngineKind kind : kBothEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const MonitorConfig mcfg = EngineConfig(kind);
+    const auto serial = RunSerial({hot}, events, end, mcfg);
 
-  ParallelConfig cfg;
-  cfg.workers = 4;
-  cfg.batch_capacity = 128;
-  // The pool caps at ring_capacity + 2 = 10 batches while the stream needs
-  // ~47 of 128 events, so the producer must recycle batches: reuse follows
-  // from arithmetic, not from how fast the workers wake.
-  cfg.ring_capacity = 8;
-  cfg.shard_mode = ShardMode::kInstance;
-  ParallelMonitorSet parallel(cfg);
-  for (const Property& p : std::vector<Property>{hot}) parallel.Add(p);
-  parallel.Start();
-  ASSERT_TRUE(parallel.instance_sharded(0));
-  for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
-  parallel.Flush();
+    ParallelConfig cfg;
+    cfg.workers = 4;
+    cfg.batch_capacity = 128;
+    // The pool caps at ring_capacity + 2 = 10 batches while the stream
+    // needs ~47 of 128 events, so the producer must recycle batches: reuse
+    // follows from arithmetic, not from how fast the workers wake.
+    cfg.ring_capacity = 8;
+    cfg.shard_mode = ShardMode::kInstance;
+    ParallelMonitorSet parallel(cfg);
+    parallel.Add(hot, mcfg);
+    parallel.Start();
+    ASSERT_TRUE(parallel.instance_sharded(0));
+    for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
+    parallel.Flush();
 
-  // Mid-stream, before the windows lapse: the live population must be
-  // split — more than one replica owns instances.
-  const telemetry::Snapshot mid = parallel.TelemetrySnapshot();
-  std::size_t populated = 0;
-  std::int64_t spread_total = 0;
-  for (std::size_t r = 0; r < 4; ++r) {
-    const std::string key = "monitor.parallel.shard.hot-pairs.replica." +
-                            std::to_string(r) + ".live_instances";
-    ASSERT_TRUE(mid.Has(key)) << key;
-    const std::int64_t live = mid.gauge(key);
-    if (live > 0) ++populated;
-    spread_total += live;
+    // Mid-stream, before the windows lapse: the live population must be
+    // split — more than one replica owns instances.
+    const telemetry::Snapshot mid = parallel.TelemetrySnapshot();
+    std::size_t populated = 0;
+    std::int64_t spread_total = 0;
+    for (std::size_t r = 0; r < 4; ++r) {
+      const std::string key = "monitor.parallel.shard.hot-pairs.replica." +
+                              std::to_string(r) + ".live_instances";
+      ASSERT_TRUE(mid.Has(key)) << key;
+      const std::int64_t live = mid.gauge(key);
+      if (live > 0) ++populated;
+      spread_total += live;
+    }
+    EXPECT_GT(populated, 1u) << "instances did not spread across replicas";
+    EXPECT_EQ(spread_total,
+              mid.gauge("monitor.engine.hot-pairs.live_instances"));
+
+    // Steady state recycles batches instead of allocating: the pool never
+    // grows past its cap and reuse dominates.
+    EXPECT_LE(mid.counter("monitor.parallel.batch_pool.allocated"),
+              cfg.ring_capacity + 2);
+    EXPECT_GT(mid.counter("monitor.parallel.batch_pool.reused"), 0u);
+
+    parallel.AdvanceTime(end);
+    parallel.Stop();
+
+    const auto serial_all = serial->set.AllViolations();
+    const auto parallel_all = parallel.AllViolations();
+    ASSERT_EQ(serial_all.size(), parallel_all.size());
+    EXPECT_GT(serial_all.size(), 0u);
+    for (std::size_t i = 0; i < serial_all.size(); ++i)
+      ExpectViolationEq(serial_all[i], parallel_all[i],
+                        "hot all[" + std::to_string(i) + "]");
+    const auto parallel_merged = parallel.MergedViolations();
+    ASSERT_EQ(serial->merged.size(), parallel_merged.size());
+    for (std::size_t i = 0; i < serial->merged.size(); ++i)
+      ExpectViolationEq(serial->merged[i], parallel_merged[i],
+                        "hot merged[" + std::to_string(i) + "]");
+    ExpectShardedSnapshotEq(serial->set.TelemetrySnapshot(),
+                            parallel.TelemetrySnapshot(), "hot final");
   }
-  EXPECT_GT(populated, 1u) << "instances did not spread across replicas";
-  EXPECT_EQ(spread_total, mid.gauge("monitor.engine.hot-pairs.live_instances"));
-
-  // Steady state recycles batches instead of allocating: the pool never
-  // grows past its cap and reuse dominates.
-  EXPECT_LE(mid.counter("monitor.parallel.batch_pool.allocated"),
-            cfg.ring_capacity + 2);
-  EXPECT_GT(mid.counter("monitor.parallel.batch_pool.reused"), 0u);
-
-  parallel.AdvanceTime(end);
-  parallel.Stop();
-
-  const auto serial_all = serial->set.AllViolations();
-  const auto parallel_all = parallel.AllViolations();
-  ASSERT_EQ(serial_all.size(), parallel_all.size());
-  EXPECT_GT(serial_all.size(), 0u);
-  for (std::size_t i = 0; i < serial_all.size(); ++i)
-    ExpectViolationEq(serial_all[i], parallel_all[i],
-                      "hot all[" + std::to_string(i) + "]");
-  const auto parallel_merged = parallel.MergedViolations();
-  ASSERT_EQ(serial->merged.size(), parallel_merged.size());
-  for (std::size_t i = 0; i < serial->merged.size(); ++i)
-    ExpectViolationEq(serial->merged[i], parallel_merged[i],
-                      "hot merged[" + std::to_string(i) + "]");
-  ExpectShardedSnapshotEq(serial->set.TelemetrySnapshot(),
-                          parallel.TelemetrySnapshot(), "hot final");
 }
 
 TEST(InstanceShardTest, HotAttachAndDetachOfShardedProperty) {
@@ -316,61 +339,64 @@ TEST(InstanceShardTest, HotAttachAndDetachOfShardedProperty) {
   const Property p1 = KeyedPairProperty("pairs-1");
   const Property p2 = KeyedPairProperty("pairs-2");
   const auto events = PairStream(7, 900, /*keys=*/24);
-
-  MonitorSet serial;
-  ParallelConfig cfg;
-  cfg.workers = 4;
-  cfg.batch_capacity = 32;
-  cfg.shard_mode = ShardMode::kInstance;
-  ParallelMonitorSet parallel(cfg);
-
-  const PropertyId s1 = serial.AttachProperty(p1);
-  parallel.Add(p1);
-  parallel.Start();
-  ASSERT_TRUE(parallel.instance_sharded(0));
-
-  std::optional<std::vector<Violation>> serial_drained, parallel_drained;
-  PropertyId s2 = 0, q2 = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i == 300) {
-      s2 = serial.AttachProperty(p2);
-      q2 = parallel.AttachProperty(p2);
-      EXPECT_TRUE(parallel.instance_sharded(q2));
-    }
-    if (i == 600) {
-      serial_drained = serial.DetachProperty(s1);
-      parallel_drained = parallel.DetachProperty(0);
-      EXPECT_FALSE(parallel.instance_sharded(0));
-    }
-    serial.OnDataplaneEvent(events[i]);
-    parallel.OnDataplaneEvent(events[i]);
-  }
   const SimTime end = events.back().time + Duration::Seconds(300);
-  serial.AdvanceTime(end);
-  parallel.AdvanceTime(end);
-  parallel.Stop();
-  (void)s2;
+  for (const EngineKind kind : kBothEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const MonitorConfig mcfg = EngineConfig(kind);
+    MonitorSet serial;
+    ParallelConfig cfg;
+    cfg.workers = 4;
+    cfg.batch_capacity = 32;
+    cfg.shard_mode = ShardMode::kInstance;
+    ParallelMonitorSet parallel(cfg);
 
-  // The detach returns the sharded property's violations in serial
-  // emission order with serial instance ids.
-  ASSERT_TRUE(serial_drained.has_value());
-  ASSERT_TRUE(parallel_drained.has_value());
-  ASSERT_EQ(serial_drained->size(), parallel_drained->size());
-  EXPECT_GT(serial_drained->size(), 0u) << "(vacuous detach)";
-  for (std::size_t i = 0; i < serial_drained->size(); ++i)
-    ExpectViolationEq((*serial_drained)[i], (*parallel_drained)[i],
-                      "drained[" + std::to_string(i) + "]");
+    const PropertyId s1 = serial.AttachProperty(p1, mcfg);
+    parallel.Add(p1, mcfg);
+    parallel.Start();
+    ASSERT_TRUE(parallel.instance_sharded(0));
 
-  // And the surviving property agrees end-to-end.
-  const auto serial_all = serial.AllViolations();
-  const auto parallel_all = parallel.AllViolations();
-  ASSERT_EQ(serial_all.size(), parallel_all.size());
-  EXPECT_GT(serial_all.size(), 0u) << "(vacuous survivor)";
-  for (std::size_t i = 0; i < serial_all.size(); ++i)
-    ExpectViolationEq(serial_all[i], parallel_all[i],
-                      "all[" + std::to_string(i) + "]");
-  ExpectShardedSnapshotEq(serial.TelemetrySnapshot(),
-                          parallel.TelemetrySnapshot(), "lifecycle final");
+    std::optional<std::vector<Violation>> serial_drained, parallel_drained;
+    PropertyId s2 = 0, q2 = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i == 300) {
+        s2 = serial.AttachProperty(p2, mcfg);
+        q2 = parallel.AttachProperty(p2, mcfg);
+        EXPECT_TRUE(parallel.instance_sharded(q2));
+      }
+      if (i == 600) {
+        serial_drained = serial.DetachProperty(s1);
+        parallel_drained = parallel.DetachProperty(0);
+        EXPECT_FALSE(parallel.instance_sharded(0));
+      }
+      serial.OnDataplaneEvent(events[i]);
+      parallel.OnDataplaneEvent(events[i]);
+    }
+    serial.AdvanceTime(end);
+    parallel.AdvanceTime(end);
+    parallel.Stop();
+    (void)s2;
+
+    // The detach returns the sharded property's violations in serial
+    // emission order with serial instance ids.
+    ASSERT_TRUE(serial_drained.has_value());
+    ASSERT_TRUE(parallel_drained.has_value());
+    ASSERT_EQ(serial_drained->size(), parallel_drained->size());
+    EXPECT_GT(serial_drained->size(), 0u) << "(vacuous detach)";
+    for (std::size_t i = 0; i < serial_drained->size(); ++i)
+      ExpectViolationEq((*serial_drained)[i], (*parallel_drained)[i],
+                        "drained[" + std::to_string(i) + "]");
+
+    // And the surviving property agrees end-to-end.
+    const auto serial_all = serial.AllViolations();
+    const auto parallel_all = parallel.AllViolations();
+    ASSERT_EQ(serial_all.size(), parallel_all.size());
+    EXPECT_GT(serial_all.size(), 0u) << "(vacuous survivor)";
+    for (std::size_t i = 0; i < serial_all.size(); ++i)
+      ExpectViolationEq(serial_all[i], parallel_all[i],
+                        "all[" + std::to_string(i) + "]");
+    ExpectShardedSnapshotEq(serial.TelemetrySnapshot(),
+                            parallel.TelemetrySnapshot(), "lifecycle final");
+  }
 }
 
 TEST(InstanceShardTest, AutoModeShardsOnlyWhenWorkersExceedProperties) {
@@ -422,25 +448,29 @@ TEST(InstanceShardTest, IneligiblePropertiesFallBackToPropertySharding) {
 
   const auto events = FuzzSeedStream(11, 600);
   const SimTime end = events.back().time + Duration::Seconds(60);
-  const auto serial = RunSerial({p}, events, end);
+  for (const EngineKind kind : kBothEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const MonitorConfig mcfg = EngineConfig(kind);
+    const auto serial = RunSerial({p}, events, end, mcfg);
 
-  ParallelConfig cfg;
-  cfg.workers = 3;
-  cfg.shard_mode = ShardMode::kInstance;
-  ParallelMonitorSet parallel(cfg);
-  parallel.Add(p);
-  parallel.Start();
-  EXPECT_FALSE(parallel.instance_sharded(0));
-  for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
-  parallel.AdvanceTime(end);
-  parallel.Stop();
+    ParallelConfig cfg;
+    cfg.workers = 3;
+    cfg.shard_mode = ShardMode::kInstance;
+    ParallelMonitorSet parallel(cfg);
+    parallel.Add(p, mcfg);
+    parallel.Start();
+    EXPECT_FALSE(parallel.instance_sharded(0));
+    for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
+    parallel.AdvanceTime(end);
+    parallel.Stop();
 
-  const auto serial_all = serial->set.AllViolations();
-  const auto parallel_all = parallel.AllViolations();
-  ASSERT_EQ(serial_all.size(), parallel_all.size());
-  for (std::size_t i = 0; i < serial_all.size(); ++i)
-    ExpectViolationEq(serial_all[i], parallel_all[i],
-                      "fallback[" + std::to_string(i) + "]");
+    const auto serial_all = serial->set.AllViolations();
+    const auto parallel_all = parallel.AllViolations();
+    ASSERT_EQ(serial_all.size(), parallel_all.size());
+    for (std::size_t i = 0; i < serial_all.size(); ++i)
+      ExpectViolationEq(serial_all[i], parallel_all[i],
+                        "fallback[" + std::to_string(i) + "]");
+  }
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ class StoreEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreEquivalenceTest, IndexedMatchesLinear) {
   Rng rng(GetParam());
-  MonitorConfig linear;
+  InterpreterAblation linear;
   linear.force_linear_store = true;
 
   PropertyBuilder b("equiv", "firewall shape");
@@ -176,7 +176,7 @@ TEST_P(StoreEquivalenceTest, IndexedMatchesLinear) {
   Property prop = std::move(b).Build();
 
   MonitorEngine indexed(prop, MonitorConfig{});
-  MonitorEngine scan(prop, linear);
+  MonitorEngine scan(prop, MonitorConfig{}, linear);
 
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t src = rng.NextBelow(8), dst = rng.NextBelow(8);

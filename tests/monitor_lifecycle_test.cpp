@@ -212,8 +212,13 @@ TEST_P(HotLifecycle, CompiledEnginesHotAttachAndDetachLikeInterpreted) {
   const auto events = FuzzSeedStream(77, 1200);
   const SimTime end = events.back().time + Duration::Seconds(300);
 
+  MonitorConfig compiled_cfg;
+  compiled_cfg.engine = EngineKind::kCompiled;
+  MonitorConfig interpreted_cfg;
+  interpreted_cfg.engine = EngineKind::kInterpreted;
+
   MonitorSet base;
-  for (const Property& p : props) base.Add(p);
+  for (const Property& p : props) base.Add(p, interpreted_cfg);
   for (const DataplaneEvent& ev : events) base.OnDataplaneEvent(ev);
   base.AdvanceTime(end);
 
@@ -221,11 +226,6 @@ TEST_P(HotLifecycle, CompiledEnginesHotAttachAndDetachLikeInterpreted) {
   const std::size_t half = events.size() / 2;
   const std::size_t two_thirds = 2 * events.size() / 3;
   const std::size_t detached_resident = 4;  // even slot: compiled
-
-  MonitorConfig compiled_cfg;
-  compiled_cfg.engine = EngineKind::kCompiled;
-  MonitorConfig interpreted_cfg;
-  interpreted_cfg.engine = EngineKind::kInterpreted;
 
   SetUnderTest set(GetParam());
   std::vector<PropertyId> ids;

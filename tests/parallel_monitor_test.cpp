@@ -1,13 +1,14 @@
 // ParallelMonitorSet: sharded worker-pool execution must be observationally
 // identical to the serial MonitorSet — violations, per-engine stats, and
-// set-level counters — at every worker count. Replays the fuzz-test seed
-// streams plus all 13 Table-1 catalog properties through both paths at
-// 1/2/4/8 workers. Carries the `tsan` CTest label.
+// set-level counters — at every worker count, on both engines. Replays
+// the fuzz-test seed streams plus all 13 Table-1 catalog properties
+// through both paths at 1/2/4/8 workers. Carries the `tsan` CTest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,6 +41,16 @@ std::vector<DataplaneEvent> FuzzSeedStream(std::uint64_t seed, int count) {
     events.push_back(std::move(ev));
   }
   return events;
+}
+
+constexpr EngineKind kBothEngines[] = {EngineKind::kCompiled,
+                                       EngineKind::kInterpreted};
+
+/// Both sides of every parity check run `kind`.
+MonitorConfig EngineConfig(EngineKind kind) {
+  MonitorConfig cfg;
+  cfg.engine = kind;
+  return cfg;
 }
 
 std::vector<Property> Table1Properties() {
@@ -86,9 +97,10 @@ struct SerialReference {
 
 std::unique_ptr<SerialReference> RunSerial(
     const std::vector<Property>& props,
-    const std::vector<DataplaneEvent>& events, SimTime final_advance) {
+    const std::vector<DataplaneEvent>& events, SimTime final_advance,
+    const MonitorConfig& mcfg) {
   auto ref = std::make_unique<SerialReference>();
-  for (const Property& p : props) ref->set.Add(p);
+  for (const Property& p : props) ref->set.Add(p, mcfg);
   std::vector<std::size_t> seen(props.size(), 0);
   const auto collect = [&] {
     for (std::size_t i = 0; i < props.size(); ++i) {
@@ -105,30 +117,33 @@ std::unique_ptr<SerialReference> RunSerial(
   return ref;
 }
 
-class ParallelParity : public ::testing::TestWithParam<std::size_t> {};
+class ParallelParity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, EngineKind>> {};
 
 TEST_P(ParallelParity, FuzzSeedStreamsMatchSerialExactly) {
-  const std::size_t workers = GetParam();
+  const auto [workers, kind] = GetParam();
+  const MonitorConfig mcfg = EngineConfig(kind);
   const std::vector<Property> props = Table1Properties();
   ASSERT_EQ(props.size(), 13u);
 
   for (const std::uint64_t seed : {99ull, 123ull}) {
     const auto events = FuzzSeedStream(seed, 1500);
     const SimTime end = events.back().time + Duration::Seconds(300);
-    const auto serial = RunSerial(props, events, end);
+    const auto serial = RunSerial(props, events, end, mcfg);
 
     ParallelConfig cfg;
     cfg.workers = workers;
     cfg.batch_capacity = 128;
     ParallelMonitorSet parallel(cfg);
-    for (const Property& p : props) parallel.Add(p);
+    for (const Property& p : props) parallel.Add(p, mcfg);
     parallel.Start();
     for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
     parallel.AdvanceTime(end);
     parallel.Stop();
 
-    const std::string label =
-        "workers=" + std::to_string(workers) + " seed=" + std::to_string(seed);
+    const std::string label = "workers=" + std::to_string(workers) +
+                              " seed=" + std::to_string(seed) + " " +
+                              EngineKindName(kind);
 
     // Identical violation sequences: attach-order concatenation...
     const auto serial_all = serial->set.AllViolations();
@@ -156,8 +171,10 @@ TEST_P(ParallelParity, FuzzSeedStreamsMatchSerialExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, ParallelParity,
-                         ::testing::Values(1u, 2u, 4u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    Workers, ParallelParity,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::ValuesIn(kBothEngines)));
 
 TEST(ParallelMonitorSetTest, CountersMatchSerialAcrossPartialBatchFlushes) {
   // An odd batch size plus mid-stream queries forces partial-batch flushes;
@@ -165,28 +182,33 @@ TEST(ParallelMonitorSetTest, CountersMatchSerialAcrossPartialBatchFlushes) {
   const std::vector<Property> props = Table1Properties();
   const auto events = FuzzSeedStream(7, 333);
 
-  MonitorSet serial;
-  for (const Property& p : props) serial.Add(p);
+  for (const EngineKind kind : kBothEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const MonitorConfig mcfg = EngineConfig(kind);
+    MonitorSet serial;
+    for (const Property& p : props) serial.Add(p, mcfg);
 
-  ParallelConfig cfg;
-  cfg.workers = 3;
-  cfg.batch_capacity = 7;
-  ParallelMonitorSet parallel(cfg);
-  for (const Property& p : props) parallel.Add(p);
-  parallel.Start();
+    ParallelConfig cfg;
+    cfg.workers = 3;
+    cfg.batch_capacity = 7;
+    ParallelMonitorSet parallel(cfg);
+    for (const Property& p : props) parallel.Add(p, mcfg);
+    parallel.Start();
 
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    serial.OnDataplaneEvent(events[i]);
-    parallel.OnDataplaneEvent(events[i]);
-    if (i % 50 == 49) {
-      // Mid-stream query = flush point; totals must agree at every one.
-      ExpectSnapshotEq(serial.TelemetrySnapshot(), parallel.TelemetrySnapshot(),
-                       "mid-stream i=" + std::to_string(i));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      serial.OnDataplaneEvent(events[i]);
+      parallel.OnDataplaneEvent(events[i]);
+      if (i % 50 == 49) {
+        // Mid-stream query = flush point; totals must agree at every one.
+        ExpectSnapshotEq(serial.TelemetrySnapshot(),
+                         parallel.TelemetrySnapshot(),
+                         "mid-stream i=" + std::to_string(i));
+      }
     }
+    parallel.Stop();
+    ExpectSnapshotEq(serial.TelemetrySnapshot(), parallel.TelemetrySnapshot(),
+                     "final");
   }
-  parallel.Stop();
-  ExpectSnapshotEq(serial.TelemetrySnapshot(), parallel.TelemetrySnapshot(),
-                   "final");
 }
 
 TEST(ParallelMonitorSetTest, MergedViolationsAgreeAcrossWorkerCounts) {

@@ -1,7 +1,7 @@
 // Serial/parallel telemetry parity: a ParallelMonitorSet over the 13
 // Table-1 catalog properties must produce a merged counter snapshot
 // IDENTICAL to the serial MonitorSet's on the same stream, at every worker
-// count — same metric names, same values, compared with
+// count and on both engines — same metric names, same values, compared with
 // telemetry::Snapshot::operator==. This is the acceptance check for the
 // shard-merge model: per-worker counters exist only as implementation
 // detail and collapse losslessly at the quiesce point. Carries the `tsan`
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +23,9 @@
 
 namespace swmon {
 namespace {
+
+constexpr EngineKind kBothEngines[] = {EngineKind::kCompiled,
+                                       EngineKind::kInterpreted};
 
 std::vector<Property> Table1Properties() {
   std::vector<Property> props;
@@ -53,17 +57,20 @@ std::vector<DataplaneEvent> EventSoup(std::uint64_t seed, int count) {
   return events;
 }
 
-class SnapshotParity : public ::testing::TestWithParam<std::size_t> {};
+class SnapshotParity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, EngineKind>> {};
 
 TEST_P(SnapshotParity, MergedSnapshotIdenticalToSerial) {
-  const std::size_t workers = GetParam();
+  const auto [workers, kind] = GetParam();
+  MonitorConfig mcfg;
+  mcfg.engine = kind;
   const std::vector<Property> props = Table1Properties();
   ASSERT_EQ(props.size(), 13u);
   const auto events = EventSoup(/*seed=*/2026, /*count=*/2000);
   const SimTime end = events.back().time + Duration::Seconds(300);
 
   MonitorSet serial;
-  for (const Property& p : props) serial.Add(p);
+  for (const Property& p : props) serial.Add(p, mcfg);
   for (const DataplaneEvent& ev : events) serial.OnDataplaneEvent(ev);
   serial.AdvanceTime(end);
   const telemetry::Snapshot want = serial.TelemetrySnapshot();
@@ -72,7 +79,7 @@ TEST_P(SnapshotParity, MergedSnapshotIdenticalToSerial) {
   cfg.workers = workers;
   cfg.batch_capacity = 64;
   ParallelMonitorSet parallel(cfg);
-  for (const Property& p : props) parallel.Add(p);
+  for (const Property& p : props) parallel.Add(p, mcfg);
   parallel.Start();
   for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
   parallel.AdvanceTime(end);
@@ -109,8 +116,10 @@ TEST_P(SnapshotParity, MergedSnapshotIdenticalToSerial) {
   EXPECT_GT(got.counter("monitor.engine.*.events"), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, SnapshotParity,
-                         ::testing::Values(1u, 2u, 4u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    Workers, SnapshotParity,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::ValuesIn(kBothEngines)));
 
 TEST(SnapshotParityTest, EvictionCountersAndStateBytesGaugeMatchSerial) {
   // Eviction-enabled properties are ineligible for instance sharding, so a
@@ -121,45 +130,49 @@ TEST(SnapshotParityTest, EvictionCountersAndStateBytesGaugeMatchSerial) {
   const auto events = EventSoup(/*seed=*/4242, /*count=*/1500);
   const SimTime end = events.back().time + Duration::Seconds(300);
 
-  MonitorConfig mc;
-  mc.eviction =
-      EvictionConfig{}.WithPolicy(EvictionPolicy::kLru).WithMaxInstances(4);
+  for (const EngineKind kind : kBothEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    MonitorConfig mc;
+    mc.engine = kind;
+    mc.eviction =
+        EvictionConfig{}.WithPolicy(EvictionPolicy::kLru).WithMaxInstances(4);
 
-  MonitorSet serial;
-  for (const Property& p : props) serial.Add(p, mc);
-  for (const DataplaneEvent& ev : events) serial.OnDataplaneEvent(ev);
-  serial.AdvanceTime(end);
-  const telemetry::Snapshot want = serial.TelemetrySnapshot();
+    MonitorSet serial;
+    for (const Property& p : props) serial.Add(p, mc);
+    for (const DataplaneEvent& ev : events) serial.OnDataplaneEvent(ev);
+    serial.AdvanceTime(end);
+    const telemetry::Snapshot want = serial.TelemetrySnapshot();
 
-  // The soup must actually evict, and the new families must be published.
-  ASSERT_GT(want.counter("monitor.engine.*.instances_evicted"), 0u);
-  EXPECT_EQ(want.counter("monitor.engine.*.evictions.policy.lru"),
-            want.counter("monitor.engine.*.instances_evicted"));
-  for (const Property& p : props)
-    EXPECT_TRUE(want.Has("monitor.engine." + p.name + ".state_bytes"))
-        << p.name;
+    // The soup must actually evict, and the new families must be published.
+    ASSERT_GT(want.counter("monitor.engine.*.instances_evicted"), 0u);
+    EXPECT_EQ(want.counter("monitor.engine.*.evictions.policy.lru"),
+              want.counter("monitor.engine.*.instances_evicted"));
+    for (const Property& p : props)
+      EXPECT_TRUE(want.Has("monitor.engine." + p.name + ".state_bytes"))
+          << p.name;
 
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ParallelConfig cfg;
-    cfg.workers = workers;
-    cfg.batch_capacity = 64;
-    ParallelMonitorSet parallel(cfg);
-    for (const Property& p : props) parallel.Add(p, mc);
-    parallel.Start();
-    for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
-    parallel.AdvanceTime(end);
-    parallel.Stop();
-    const telemetry::Snapshot got = parallel.TelemetrySnapshot();
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      ParallelConfig cfg;
+      cfg.workers = workers;
+      cfg.batch_capacity = 64;
+      ParallelMonitorSet parallel(cfg);
+      for (const Property& p : props) parallel.Add(p, mc);
+      parallel.Start();
+      for (const DataplaneEvent& ev : events) parallel.OnDataplaneEvent(ev);
+      parallel.AdvanceTime(end);
+      parallel.Stop();
+      const telemetry::Snapshot got = parallel.TelemetrySnapshot();
 
-    for (const auto& [name, sample] : want.samples()) {
-      ASSERT_TRUE(got.Has(name))
-          << "workers=" << workers << " missing " << name;
-      EXPECT_TRUE(sample == got.samples().at(name))
-          << "workers=" << workers << " diverges at " << name;
+      for (const auto& [name, sample] : want.samples()) {
+        ASSERT_TRUE(got.Has(name))
+            << "workers=" << workers << " missing " << name;
+        EXPECT_TRUE(sample == got.samples().at(name))
+            << "workers=" << workers << " diverges at " << name;
+      }
+      EXPECT_EQ(want.counter("monitor.engine.*.evictions.reason.capacity"),
+                got.counter("monitor.engine.*.evictions.reason.capacity"))
+          << "workers=" << workers;
     }
-    EXPECT_EQ(want.counter("monitor.engine.*.evictions.reason.capacity"),
-              got.counter("monitor.engine.*.evictions.reason.capacity"))
-        << "workers=" << workers;
   }
 }
 
