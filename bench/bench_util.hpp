@@ -12,9 +12,24 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+// Set per target by bench/CMakeLists.txt; the fallbacks keep the header
+// usable from any other build.
+#ifndef SWMON_BENCH_COMPILER
+#define SWMON_BENCH_COMPILER "unknown"
+#endif
+#ifndef SWMON_BENCH_BUILD_TYPE
+#define SWMON_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef SWMON_SOURCE_DIR
+#define SWMON_SOURCE_DIR "."
+#endif
 
 namespace swmon::bench {
 
@@ -90,6 +105,36 @@ PairedTiming PairedAB(int pairs, A&& a, B&& b) {
   return t;
 }
 
+/// The CPU model string from /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
+/// HEAD of the source tree the bench was built from, suffixed "-dirty"
+/// when that tree has uncommitted changes; "unknown" outside git.
+inline std::string GitSha() {
+  std::string sha;
+  const std::string cmd =
+      std::string("git -C \"") + SWMON_SOURCE_DIR +
+      "\" describe --always --dirty --abbrev=40 2>/dev/null";
+  if (std::FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), p)) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+    sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
+
 /// Collects rows of {key: string|number} results and writes them as
 /// BENCH_<name>.json — one JSON object with a "results" array — either into
 /// $SWMON_BENCH_JSON_DIR (set by the `bench` CMake target) or the current
@@ -123,6 +168,20 @@ class JsonReporter {
 
   Row& AddRow() { return rows_.emplace_back(); }
 
+  /// Adds a top-level "meta" object recording where the rows were
+  /// measured: hardware threads, CPU model, compiler, build type, the
+  /// engine(s) the rows ran and the git SHA.
+  void SetMeta(const std::string& engine) {
+    meta_ = Row{};
+    meta_->Num("hardware_threads",
+               static_cast<double>(std::thread::hardware_concurrency()))
+        .Str("cpu", CpuModel())
+        .Str("compiler", SWMON_BENCH_COMPILER)
+        .Str("build_type", SWMON_BENCH_BUILD_TYPE)
+        .Str("engine", engine)
+        .Str("git_sha", GitSha());
+  }
+
   /// Target path: $SWMON_BENCH_JSON_DIR/BENCH_<name>.json when the env var
   /// is set, else ./BENCH_<name>.json.
   std::string DefaultPath() const {
@@ -132,17 +191,12 @@ class JsonReporter {
   }
 
   std::string ToJson() const {
-    std::string out = "{\"bench\": " + Quote(name_) + ", \"results\": [";
+    std::string out = "{\"bench\": " + Quote(name_);
+    if (meta_) out += ",\n \"meta\": " + ObjectJson(*meta_);
+    out += ", \"results\": [";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-      out += r ? ",\n  {" : "\n  {";
-      const Row& row = rows_[r];
-      for (std::size_t i = 0; i < row.fields_.size(); ++i) {
-        if (i) out += ", ";
-        out += Quote(row.fields_[i].first) + ": ";
-        out += row.numeric_[i] ? row.fields_[i].second
-                               : Quote(row.fields_[i].second);
-      }
-      out += "}";
+      out += r ? ",\n  " : "\n  ";
+      out += ObjectJson(rows_[r]);
     }
     out += "\n]}\n";
     return out;
@@ -165,6 +219,17 @@ class JsonReporter {
   }
 
  private:
+  static std::string ObjectJson(const Row& row) {
+    std::string out = "{";
+    for (std::size_t i = 0; i < row.fields_.size(); ++i) {
+      if (i) out += ", ";
+      out += Quote(row.fields_[i].first) + ": ";
+      out += row.numeric_[i] ? row.fields_[i].second
+                             : Quote(row.fields_[i].second);
+    }
+    return out + "}";
+  }
+
   static std::string Quote(const std::string& s) {
     std::string out = "\"";
     for (char c : s) {
@@ -176,6 +241,7 @@ class JsonReporter {
   }
 
   std::string name_;
+  std::optional<Row> meta_;
   std::vector<Row> rows_;
 };
 

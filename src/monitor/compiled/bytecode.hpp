@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "dataplane/switch.hpp"
+#include "monitor/abort_index.hpp"
 #include "monitor/spec.hpp"
 
 namespace swmon::compiled {
@@ -87,19 +88,45 @@ struct PatternCode {
 
 /// field == $var link term; the slice [link_begin, link_begin+link_count)
 /// of Program::links is a stage's keyed-store key, mirroring the
-/// interpreter's StageStore::link (full-width, non-allow_absent equality
-/// conditions only).
+/// interpreter's StageStore::link (KeyTerms: full-width, non-allow_absent
+/// equality conditions only, in var-id order).
 struct LinkTerm {
   std::uint16_t field;
   std::uint16_t var;
 };
 
+/// A (begin, count) slice of one of Program's flat pools.
+struct Slice {
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+};
+
+/// One abort pattern with its prefilter and probe (monitor/abort_index.hpp;
+/// DESIGN.md 5m).
+struct AbortCode {
+  static constexpr std::uint32_t kNoPrefilter = 0xffffffffu;
+  PatternCode pattern;
+  /// Required-presence mask: an event missing one of these fields fails
+  /// the abort for every instance.
+  std::uint64_t need = 0;
+  /// pc of a run of the abort's constant conditions (ends in kMatch), or
+  /// kNoPrefilter when it has none. Executes with an empty environment.
+  std::uint32_t prefilter = kNoPrefilter;
+  /// kLinkIndex, kFirstExtraIndex + i (StageCode::extra_indexes[i]), or
+  /// kAbortWalk for the stage-wide walk.
+  std::int32_t index = kAbortWalk;
+  Slice probe;  // event fields, in the index's var order (key_fields pool)
+};
+
 struct StageCode {
   StageKind kind = StageKind::kEvent;
   PatternCode pattern;              // kEvent stages
+  std::uint64_t need = 0;           // RequiredPresence(pattern)
   std::uint32_t bind_begin = 0;
   bool has_bindings = false;        // stage can rebind env (re-key path)
-  std::vector<PatternCode> aborts;
+  std::vector<AbortCode> aborts;
+  /// Var lists (slices of Program::index_vars) of the abort-only indexes.
+  std::vector<Slice> extra_indexes;
   std::uint32_t link_begin = 0;
   std::uint32_t link_count = 0;
   std::int64_t window_ns = 0;       // 0 = unbounded
@@ -126,8 +153,12 @@ struct Program {
   /// Variables stage 0 binds, in binding order: the dedup/refresh key.
   std::vector<std::uint16_t> stage0_vars;
 
+  /// Abort-only index var lists (StageCode::extra_indexes slices).
+  std::vector<std::uint16_t> index_vars;
+
   std::vector<SuppressorCode> suppressors;
-  std::vector<std::uint16_t> key_fields;  // suppression key-field pool
+  /// Suppression-key and abort-probe field pool.
+  std::vector<std::uint16_t> key_fields;
   std::uint32_t suppression_key_begin = 0;
   std::uint32_t suppression_key_count = 0;
 
@@ -150,8 +181,10 @@ bool Lowerable(const Property& property);
 /// Lowers a validated Property; nullopt exactly when !Lowerable(property).
 std::optional<Program> CompileProperty(const Property& property);
 
-/// Human-readable listing (one instruction per line) for debugging
-/// differential failures; format is stable enough for docs, not parsing.
+/// Human-readable listing (one instruction per line, plus one line per
+/// abort naming its index key or `scan (no keyable EqVar)` and its
+/// prefilter mask) for debugging differential failures; format is stable
+/// enough for docs, not parsing.
 std::string Disassemble(const Program& program);
 
 }  // namespace swmon::compiled

@@ -6,6 +6,7 @@
 // differential harness holds the two engines to bit-identical violation
 // streams, so any cleverness here must be invisible.
 
+#include <cstdio>
 #include <string>
 
 #include "common/assert.hpp"
@@ -137,26 +138,47 @@ std::optional<Program> CompileProperty(const Property& property) {
         st.window_from_field
             ? static_cast<std::int16_t>(*st.window_from_field)
             : std::int16_t{-1};
-    if (st.kind == StageKind::kEvent) sc.pattern = EmitPattern(st.pattern, prog);
+    if (st.kind == StageKind::kEvent) {
+      sc.pattern = EmitPattern(st.pattern, prog);
+      sc.need = RequiredPresence(st.pattern);
+    }
     sc.bind_begin = EmitBindRun(st, prog);
     sc.has_bindings = !st.bindings.empty();
-    for (const Pattern& a : st.aborts) sc.aborts.push_back(EmitPattern(a, prog));
 
-    // Link-key selection, identical to the MonitorEngine constructor: only
-    // full-width, non-allow_absent equality against a variable can serve
-    // as a hash key (an allow_absent condition also matches events that
-    // *lack* the field, which a keyed lookup would never reach).
+    // Link-key selection and the abort plan, identical to the
+    // MonitorEngine constructor (both come from monitor/abort_index).
+    std::vector<KeyTerm> link;
+    if (k >= 1 && st.kind == StageKind::kEvent) link = KeyTerms(st.pattern);
     sc.link_begin = static_cast<std::uint32_t>(prog.links.size());
-    if (k >= 1 && st.kind == StageKind::kEvent) {
-      for (const Condition& c : st.pattern.conditions) {
-        if (c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
-            c.mask == ~std::uint64_t{0} && !c.allow_absent)
-          prog.links.push_back(LinkTerm{static_cast<std::uint16_t>(c.field),
-                                        c.rhs.var});
-      }
+    sc.link_count = static_cast<std::uint32_t>(link.size());
+    for (const KeyTerm& t : link)
+      prog.links.push_back(
+          LinkTerm{static_cast<std::uint16_t>(t.field), t.var});
+    const StageAbortPlan plan = PlanAborts(st, link, /*indexed=*/true);
+    for (const std::vector<VarId>& vars : plan.extra) {
+      sc.extra_indexes.push_back(
+          Slice{static_cast<std::uint32_t>(prog.index_vars.size()),
+                static_cast<std::uint32_t>(vars.size())});
+      prog.index_vars.insert(prog.index_vars.end(), vars.begin(), vars.end());
     }
-    sc.link_count =
-        static_cast<std::uint32_t>(prog.links.size()) - sc.link_begin;
+    for (std::size_t j = 0; j < st.aborts.size(); ++j) {
+      const AbortPlan& ap = plan.aborts[j];
+      AbortCode ac;
+      ac.pattern = EmitPattern(st.aborts[j], prog);
+      ac.need = ap.need;
+      if (!ap.consts.empty()) {
+        ac.prefilter = static_cast<std::uint32_t>(prog.code.size());
+        for (const Condition& c : ap.consts)
+          prog.code.push_back(LowerCondition(c));
+        Instr m{};
+        m.op = Op::kMatch;
+        prog.code.push_back(m);
+      }
+      ac.index = ap.index;
+      ac.probe = Slice{EmitKeyFields(ap.probe, prog),
+                       static_cast<std::uint32_t>(ap.probe.size())};
+      sc.aborts.push_back(ac);
+    }
     prog.stages.push_back(std::move(sc));
   }
 
@@ -182,8 +204,8 @@ std::optional<Program> CompileProperty(const Property& property) {
       const StageCode& sc = prog.stages[k];
       if (sc.kind == StageKind::kEvent && TypeCompatible(sc.pattern, t))
         prog.advance_stage_mask[t] |= std::uint64_t{1} << k;
-      for (const PatternCode& a : sc.aborts) {
-        if (TypeCompatible(a, t)) {
+      for (const AbortCode& a : sc.aborts) {
+        if (TypeCompatible(a.pattern, t)) {
           prog.abort_stage_mask[t] |= std::uint64_t{1} << k;
           break;
         }
@@ -201,6 +223,41 @@ std::string Disassemble(const Program& program) {
     out += "stage " + std::to_string(k) + " \"" + st.label + "\" pattern@" +
            std::to_string(st.pattern.begin) + " bind@" +
            std::to_string(st.bind_begin) + "\n";
+    for (std::size_t j = 0; j < st.aborts.size(); ++j) {
+      const AbortCode& a = st.aborts[j];
+      out += "  abort " + std::to_string(j) + " @" +
+             std::to_string(a.pattern.begin) + ": ";
+      if (a.index == kAbortWalk) {
+        out += "scan (no keyable EqVar)";
+      } else {
+        // The key tuple in the index's var order, each var with the event
+        // field the probe projects into it.
+        const auto key_var = [&](std::uint32_t i) -> std::uint16_t {
+          if (a.index == kLinkIndex)
+            return program.links[st.link_begin + i].var;
+          return program.index_vars
+              [st.extra_indexes[a.index - kFirstExtraIndex].begin + i];
+        };
+        out += "key (";
+        for (std::uint32_t i = 0; i < a.probe.count; ++i) {
+          if (i) out += ",";
+          out += program.vars[key_var(i)] + "=f" +
+                 std::to_string(program.key_fields[a.probe.begin + i]);
+        }
+        out += a.index == kLinkIndex
+                   ? ") via link index"
+                   : ") via abort index " +
+                         std::to_string(a.index - kFirstExtraIndex);
+      }
+      char need[32];
+      std::snprintf(need, sizeof(need), " need=0x%llx",
+                    static_cast<unsigned long long>(a.need));
+      out += need;
+      out += a.prefilter == AbortCode::kNoPrefilter
+                 ? " prefilter=none"
+                 : " prefilter@" + std::to_string(a.prefilter);
+      out += '\n';
+    }
   }
   const auto line = [&](std::size_t pc, const std::string& text) {
     out += std::to_string(pc);

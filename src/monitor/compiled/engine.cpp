@@ -44,7 +44,12 @@ std::uint32_t OpenMap::Find(const std::uint64_t* key,
 
 std::uint32_t OpenMap::Insert(const std::uint64_t* key, std::uint32_t len) {
   if (cells_.empty() || (used_ + 1) * 10 >= cells_.size() * 7) {
-    Rehash(cells_.empty() ? 16 : cells_.size() * 2);
+    // Grow only when live cells fill the table; when tombstones do (churn
+    // at a steady live count), rebuild in place instead of doubling.
+    const bool mostly_dead = size_ * 2 < used_;
+    Rehash(cells_.empty()  ? 16
+           : mostly_dead   ? cells_.size()
+                           : cells_.size() * 2);
   } else if (dead_words_ > 64 && dead_words_ * 2 > pool_.size()) {
     // Same capacity, compacted pool: erases leave their key words behind
     // (and tombstone reuse appends without raising used_), so under pure
@@ -152,6 +157,8 @@ CompiledEngine::CompiledEngine(Property property, MonitorConfig config)
   interest_ = prog_.interest;
   stride_ = kWVars + static_cast<std::uint32_t>(prog_.num_vars());
   stores_.resize(prog_.num_stages());
+  for (std::size_t k = 0; k < prog_.num_stages(); ++k)
+    stores_[k].extra.resize(prog_.stages[k].extra_indexes.size());
   scratch_vars_.resize(prog_.num_vars());
   ecfg_ = config_.eviction;
   eviction_.Configure(ecfg_, prog_.num_vars());
@@ -378,8 +385,56 @@ std::uint32_t CompiledEngine::AllocSlot() {
   }
   const auto slot = static_cast<std::uint32_t>(slab_.size() / stride_);
   slab_.resize(slab_.size() + stride_);
+  scan_pos_.push_back(0);
   return slot;
 }
+
+template <typename VarAt>
+bool CompiledEngine::BuildRecordKey(const std::uint64_t* rec,
+                                    std::uint32_t count, VarAt&& var_at) {
+  const std::uint64_t bound = rec[kWBound];
+  key_buf_.clear();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint16_t var = var_at(i);
+    if (!(bound >> var & 1)) return false;
+    key_buf_.push_back(rec[kWVars + var]);
+  }
+  return true;
+}
+
+bool CompiledEngine::BuildLinkKey(const std::uint64_t* rec,
+                                  const StageCode& sc) {
+  return sc.link_count != 0 &&
+         BuildRecordKey(rec, sc.link_count, [&](std::uint32_t j) {
+           return prog_.links[sc.link_begin + j].var;
+         });
+}
+
+bool CompiledEngine::BuildExtraKey(const std::uint64_t* rec, const Slice& x) {
+  return BuildRecordKey(rec, x.count, [&](std::uint32_t j) {
+    return prog_.index_vars[x.begin + j];
+  });
+}
+
+namespace {
+/// Swap-remove, exactly the interpreter's bucket-erase: order of the
+/// remaining slots is part of the candidate-enumeration contract.
+void EraseSlot(std::vector<std::uint32_t>& v, std::uint32_t slot) {
+  auto it = std::find(v.begin(), v.end(), slot);
+  if (it == v.end()) return;
+  *it = v.back();
+  v.pop_back();
+}
+
+void EraseKeyed(OpenMap& map, const std::vector<std::uint64_t>& key,
+                std::uint32_t slot) {
+  const std::uint32_t cell =
+      map.Find(key.data(), static_cast<std::uint32_t>(key.size()));
+  if (cell == OpenMap::kNone) return;
+  EraseSlot(map.slots(cell), slot);
+  if (map.slots(cell).empty()) map.EraseAt(cell);
+}
+}  // namespace
 
 void CompiledEngine::InsertIntoStore(std::uint32_t slot) {
   std::uint64_t* rec = Rec(slot);
@@ -387,39 +442,20 @@ void CompiledEngine::InsertIntoStore(std::uint32_t slot) {
   SWMON_ASSERT(stage >= 1 && stage < prog_.num_stages());
   StageStore& store = stores_[stage];
   const StageCode& sc = prog_.stages[stage];
-  if (sc.link_count != 0) {
-    const std::uint64_t bound = rec[kWBound];
-    key_buf_.clear();
-    bool all_bound = true;
-    for (std::uint32_t i = 0; i < sc.link_count; ++i) {
-      const LinkTerm& lt = prog_.links[sc.link_begin + i];
-      if (!(bound >> lt.var & 1)) {
-        all_bound = false;
-        break;
-      }
-      key_buf_.push_back(rec[kWVars + lt.var]);
-    }
-    if (all_bound) {
-      const std::uint32_t cell = store.keyed.Insert(
-          key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
-      store.keyed.slots(cell).push_back(slot);
-      return;
-    }
+  const auto file = [&](OpenMap& map) {
+    const std::uint32_t cell = map.Insert(
+        key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
+    map.slots(cell).push_back(slot);
+  };
+  for (std::size_t i = 0; i < store.extra.size(); ++i)
+    if (BuildExtraKey(rec, sc.extra_indexes[i])) file(store.extra[i]);
+  if (BuildLinkKey(rec, sc)) {
+    file(store.keyed);
+    return;
   }
+  scan_pos_[slot] = static_cast<std::uint32_t>(store.scan.size());
   store.scan.push_back(slot);
 }
-
-namespace {
-/// Swap-remove, exactly the interpreter's bucket-erase: order of the
-/// remaining slots is part of the candidate-enumeration contract.
-bool EraseSlot(std::vector<std::uint32_t>& v, std::uint32_t slot) {
-  auto it = std::find(v.begin(), v.end(), slot);
-  if (it == v.end()) return false;
-  *it = v.back();
-  v.pop_back();
-  return true;
-}
-}  // namespace
 
 void CompiledEngine::RemoveFromStore(std::uint32_t slot) {
   const std::uint64_t* rec = Rec(slot);
@@ -427,29 +463,21 @@ void CompiledEngine::RemoveFromStore(std::uint32_t slot) {
   if (stage < 1 || stage >= prog_.num_stages()) return;
   StageStore& store = stores_[stage];
   const StageCode& sc = prog_.stages[stage];
-  if (sc.link_count != 0) {
-    const std::uint64_t bound = rec[kWBound];
-    key_buf_.clear();
-    bool all_bound = true;
-    for (std::uint32_t i = 0; i < sc.link_count; ++i) {
-      const LinkTerm& lt = prog_.links[sc.link_begin + i];
-      if (!(bound >> lt.var & 1)) {
-        all_bound = false;
-        break;
-      }
-      key_buf_.push_back(rec[kWVars + lt.var]);
-    }
-    if (all_bound) {
-      const std::uint32_t cell = store.keyed.Find(
-          key_buf_.data(), static_cast<std::uint32_t>(key_buf_.size()));
-      if (cell != OpenMap::kNone) {
-        EraseSlot(store.keyed.slots(cell), slot);
-        if (store.keyed.slots(cell).empty()) store.keyed.EraseAt(cell);
-      }
-      return;
-    }
+  for (std::size_t i = 0; i < store.extra.size(); ++i)
+    if (BuildExtraKey(rec, sc.extra_indexes[i]))
+      EraseKeyed(store.extra[i], key_buf_, slot);
+  if (BuildLinkKey(rec, sc)) {
+    EraseKeyed(store.keyed, key_buf_, slot);
+    return;
   }
-  EraseSlot(store.scan, slot);
+  // O(1) swap-remove through the back-pointer; the resulting order is the
+  // interpreter's find-based swap-remove.
+  const std::uint32_t pos = scan_pos_[slot];
+  SWMON_ASSERT(pos < store.scan.size() && store.scan[pos] == slot);
+  const std::uint32_t last = store.scan.back();
+  store.scan[pos] = last;
+  scan_pos_[last] = pos;
+  store.scan.pop_back();
 }
 
 void CompiledEngine::BuildStage0Key(const std::uint64_t* vars) {
@@ -743,28 +771,81 @@ void CompiledEngine::RunPasses(const DataplaneEvent& event,
 void CompiledEngine::RunAbortPass(const DataplaneEvent& ev,
                                   std::uint64_t stage_mask) {
   const auto t = static_cast<std::size_t>(ev.type);
+  const std::uint64_t present = ev.fields.presence_mask();
   for (std::size_t k = 1; k < prog_.num_stages(); ++k) {
     if (!(stage_mask >> k & 1)) continue;
     const StageCode& st = prog_.stages[k];
+    const StageStore& store = stores_[k];
+
+    // Prefilter (DESIGN.md 5m): type, required presence and the constant
+    // conditions decide each abort for every instance at once.
+    live_aborts_.clear();
+    bool walk = false;
+    for (std::uint32_t j = 0; j < st.aborts.size(); ++j) {
+      const AbortCode& a = st.aborts[j];
+      if (a.pattern.event_type >= 0 &&
+          static_cast<std::size_t>(a.pattern.event_type) != t)
+        continue;
+      if ((present & a.need) != a.need) continue;
+      if (a.prefilter != AbortCode::kNoPrefilter &&
+          !ExecMatch(a.prefilter, ev.fields, scratch_vars_.data(), 0))
+        continue;
+      live_aborts_.push_back(j);
+      if (a.index == kAbortWalk) walk = true;
+    }
+    if (live_aborts_.empty()) continue;
+
+    // Candidates: the union of the surviving aborts' candidate sets, each
+    // instance counted once (the same rule as engine.cpp).
+    abort_cand_.clear();
+    const auto gather = [&](const std::vector<std::uint32_t>& slots) {
+      for (const std::uint32_t slot : slots)
+        abort_cand_.push_back(EvictionEntry{Rec(slot)[kWId], slot});
+    };
+    if (walk) {
+      store.keyed.ForEach(gather);
+      gather(store.scan);
+    } else {
+      for (const std::uint32_t j : live_aborts_) {
+        const AbortCode& a = st.aborts[j];
+        key_buf_.clear();
+        for (std::uint32_t i = 0; i < a.probe.count; ++i)  // all in a.need
+          key_buf_.push_back(ev.fields.GetUnchecked(
+              static_cast<FieldId>(prog_.key_fields[a.probe.begin + i])));
+        const OpenMap& index = a.index == kLinkIndex
+                                   ? store.keyed
+                                   : store.extra[a.index - kFirstExtraIndex];
+        const std::uint32_t cell =
+            index.Find(key_buf_.data(), a.probe.count);
+        if (cell != OpenMap::kNone) gather(index.slots(cell));
+      }
+      if (live_aborts_.size() > 1) {
+        std::sort(abort_cand_.begin(), abort_cand_.end(),
+                  [](const EvictionEntry& x, const EvictionEntry& y) {
+                    return x.id < y.id;
+                  });
+        abort_cand_.erase(
+            std::unique(abort_cand_.begin(), abort_cand_.end(),
+                        [](const EvictionEntry& x, const EvictionEntry& y) {
+                          return x.id == y.id;
+                        }),
+            abort_cand_.end());
+      }
+    }
+
     victims_.clear();
-    const auto consider = [&](std::uint32_t slot) {
-      const std::uint64_t* rec = Rec(slot);
-      if (StageOf(rec) != k) return;
+    for (const EvictionEntry& c : abort_cand_) {
+      const std::uint64_t* rec = Rec(c.slot);
+      if (StageOf(rec) != k) continue;
       ++stats_.candidate_checks;
-      for (const PatternCode& a : st.aborts) {
-        if (a.event_type >= 0 && static_cast<std::size_t>(a.event_type) != t)
-          continue;
-        if (ExecMatch(a.begin, ev.fields, rec + kWVars, rec[kWBound])) {
-          victims_.push_back(EvictionEntry{rec[kWId], slot});
-          return;
+      for (const std::uint32_t j : live_aborts_) {
+        if (ExecMatch(st.aborts[j].pattern.begin, ev.fields, rec + kWVars,
+                      rec[kWBound])) {
+          victims_.push_back(c);
+          break;
         }
       }
-    };
-    const StageStore& store = stores_[k];
-    store.keyed.ForEach([&](const std::vector<std::uint32_t>& slots) {
-      for (const std::uint32_t slot : slots) consider(slot);
-    });
-    for (const std::uint32_t slot : store.scan) consider(slot);
+    }
 
     // Sorted by instance id — the engine-independent destruction order
     // both engines commit to (see engine.cpp's RunAbortPass).
@@ -787,6 +868,8 @@ void CompiledEngine::RunAdvancePass(const DataplaneEvent& ev,
     if (!(stage_mask >> k & 1)) continue;
     const StageCode& st = prog_.stages[k];
     StageStore& store = stores_[k];
+    // Required-presence prefilter, as in engine.cpp.
+    if ((ev.fields.presence_mask() & st.need) != st.need) continue;
 
     cand_.clear();
     if (st.link_count != 0) {
@@ -965,8 +1048,11 @@ std::size_t CompiledEngine::StateBytes() const {
   std::size_t bytes = slab_.capacity() * sizeof(std::uint64_t) +
                       free_slots_.capacity() * sizeof(std::uint32_t) +
                       stage0_index_.MemoryBytes() + suppressed_.MemoryBytes();
-  for (const StageStore& s : stores_)
+  bytes += scan_pos_.capacity() * sizeof(std::uint32_t);
+  for (const StageStore& s : stores_) {
     bytes += s.keyed.MemoryBytes() + s.scan.capacity() * sizeof(std::uint32_t);
+    for (const OpenMap& m : s.extra) bytes += m.MemoryBytes();
+  }
   return bytes;
 }
 
@@ -1018,10 +1104,10 @@ void CompiledEngine::CollectInto(telemetry::Snapshot& snap,
   }
 
   // OpenMap probe telemetry, aggregated over every index this engine owns
-  // (stage-0 dedup, suppression set, per-stage link stores), published
-  // under monitor.compiled.<name>.*. Deterministic for a given delivered
-  // stream — batch and scalar execution produce identical values, which
-  // batch_exec_test asserts; the interpreter publishes none of these
+  // (stage-0 dedup, suppression set, per-stage link and abort indexes),
+  // published under monitor.compiled.<name>.*. Deterministic for a given
+  // delivered stream — batch and scalar execution produce identical values,
+  // which batch_exec_test asserts; the interpreter publishes none of these
   // (tests that hold the engines' snapshots equal filter the prefix).
   OpenMap::ProbeStats agg;
   const auto acc = [&agg](const OpenMap& m) {
@@ -1034,7 +1120,10 @@ void CompiledEngine::CollectInto(telemetry::Snapshot& snap,
   };
   acc(stage0_index_);
   acc(suppressed_);
-  for (const StageStore& st : stores_) acc(st.keyed);
+  for (const StageStore& st : stores_) {
+    acc(st.keyed);
+    for (const OpenMap& m : st.extra) acc(m);
+  }
   std::string cprefix = "monitor.compiled.";
   cprefix.append(name);
   cprefix += '.';

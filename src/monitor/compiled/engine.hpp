@@ -19,6 +19,8 @@
 //     (GNU extensions; portable switch fallback), not the spec tree.
 //   * Per-event-type stage masks let ProcessEvent skip the abort/advance
 //     passes with one AND when no stage can react to the event's type.
+//   * Aborts are prefiltered and probed by key, never walked per instance
+//     unless they have no keyable term (monitor/abort_index.hpp).
 //
 // Timers are keyed by SLOT, not instance id: DestroyInstance cancels
 // before any slot reuse, and TimerSet's generation counter makes a
@@ -231,6 +233,10 @@ class CompiledEngine final : public PropertyMonitor {
   struct StageStore {
     OpenMap keyed;
     std::vector<std::uint32_t> scan;
+    /// Abort-only indexes, parallel to StageCode::extra_indexes: slots
+    /// whose key vars are all bound (DESIGN.md 5m). Allocate on first
+    /// insert.
+    std::vector<OpenMap> extra;
   };
 
   // --- bytecode execution ---
@@ -248,6 +254,15 @@ class CompiledEngine final : public PropertyMonitor {
   std::uint32_t AllocSlot();
   void InsertIntoStore(std::uint32_t slot);
   void RemoveFromStore(std::uint32_t slot);
+  /// Builds, in key_buf_, the record's projection onto `count` vars read
+  /// through `var_at(i)`; false when one of them is unbound.
+  template <typename VarAt>
+  bool BuildRecordKey(const std::uint64_t* rec, std::uint32_t count,
+                      VarAt&& var_at);
+  /// BuildRecordKey over the stage's link vars (false when it has none)
+  /// or over an abort-only index's vars.
+  bool BuildLinkKey(const std::uint64_t* rec, const StageCode& sc);
+  bool BuildExtraKey(const std::uint64_t* rec, const Slice& x);
   void DestroyInstance(std::uint32_t slot);
   void AdvanceInstance(std::uint32_t slot, const DataplaneEvent* ev);
   void ArmWindow(std::uint32_t slot, const StageCode& completed,
@@ -299,6 +314,9 @@ class CompiledEngine final : public PropertyMonitor {
   std::vector<std::uint64_t> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
+  /// Per slot, its position in its stage's scan list (valid while it is
+  /// filed there): scan removal is an O(1) swap-remove.
+  std::vector<std::uint32_t> scan_pos_;
 
   std::vector<StageStore> stores_;  // one per stage (index 0 unused)
   /// Stage-0 fail-fast: when the stage-0 pattern opens with a constant
@@ -342,6 +360,8 @@ class CompiledEngine final : public PropertyMonitor {
   std::vector<std::uint64_t> scratch_vars_;
   std::vector<std::uint64_t> key_buf_;
   std::vector<std::uint32_t> cand_;
+  std::vector<std::uint32_t> live_aborts_;
+  std::vector<EvictionEntry> abort_cand_;
   std::vector<EvictionEntry> victims_;
 };
 

@@ -26,20 +26,18 @@ MonitorEngine::MonitorEngine(Property property, MonitorConfig config,
 
   interest_ = InterestSignature(property_);
   stores_.resize(property_.num_stages());
-  if (!ablation_.force_linear_store) {
-    for (std::size_t k = 1; k < property_.num_stages(); ++k) {
-      const Stage& st = property_.stages[k];
-      if (st.kind != StageKind::kEvent) continue;
-      for (const Condition& c : st.pattern.conditions) {
-        // Only full-width equality on a bound var is usable as a hash key.
-        // allow_absent conditions are excluded: a keyed lookup projects the
-        // event's field values, so an event *lacking* the field would never
-        // reach instances the condition nonetheless matches.
-        if (c.op == CmpOp::kEq && c.rhs.kind == Term::Kind::kVar &&
-            c.mask == ~std::uint64_t{0} && !c.allow_absent)
-          stores_[k].link.emplace_back(c.field, c.rhs.var);
-      }
+  const bool indexed = !ablation_.force_linear_store;
+  for (std::size_t k = 1; k < property_.num_stages(); ++k) {
+    const Stage& st = property_.stages[k];
+    StageStore& store = stores_[k];
+    // Only full-width equality on a bound var is usable as a hash key (see
+    // KeyTerms for why allow_absent conditions are excluded).
+    if (st.kind == StageKind::kEvent) {
+      store.need = RequiredPresence(st.pattern);
+      if (indexed) store.link = KeyTerms(st.pattern);
     }
+    store.abort_plan = PlanAborts(st, store.link, indexed);
+    store.extra.resize(store.abort_plan.extra.size());
   }
   for (const Binding& b : property_.stages[0].bindings)
     stage0_bound_vars_.push_back(b.var);
@@ -118,60 +116,77 @@ bool MonitorEngine::ApplyBindings(
 
 // ------------------------------------------------------------------ stores
 
+namespace {
+
+VarId VarOf(VarId v) { return v; }
+VarId VarOf(const KeyTerm& t) { return t.var; }
+
+/// Projects `env` onto the vars of `terms` into `key`; false when one of
+/// them is unbound (the instance cannot be filed under that index).
+template <typename Terms>
+bool EnvKey(const Terms& terms,
+            const std::vector<std::optional<std::uint64_t>>& env,
+            FlowKey& key) {
+  key.values.clear();
+  key.values.reserve(terms.size());
+  for (const auto& t : terms) {
+    const auto& v = env[VarOf(t)];
+    if (!v) return false;
+    key.values.push_back(*v);
+  }
+  return true;
+}
+
+void EraseId(std::vector<std::uint64_t>& v, std::uint64_t id) {
+  auto it = std::find(v.begin(), v.end(), id);
+  if (it == v.end()) return;
+  *it = v.back();
+  v.pop_back();
+}
+
+template <typename Map>
+void EraseKeyed(Map& map, const FlowKey& key, std::uint64_t id) {
+  auto it = map.find(key);
+  if (it == map.end()) return;
+  EraseId(it->second, id);
+  if (it->second.empty()) map.erase(it);
+}
+
+}  // namespace
+
 void MonitorEngine::InsertIntoStore(Instance& inst) {
   SWMON_ASSERT(inst.stage >= 1 && inst.stage < property_.num_stages());
   StageStore& store = stores_[inst.stage];
-  if (!store.link.empty()) {
-    FlowKey key;
-    key.values.reserve(store.link.size());
-    bool all_bound = true;
-    for (const auto& [field, var] : store.link) {
-      if (!inst.env[var]) {
-        all_bound = false;
-        break;
-      }
-      key.values.push_back(*inst.env[var]);
-    }
-    if (all_bound) {
-      store.keyed[key].push_back(inst.id);
-      return;
-    }
+  FlowKey key;
+  for (std::size_t i = 0; i < store.extra.size(); ++i)
+    if (EnvKey(store.abort_plan.extra[i], inst.env, key))
+      store.extra[i][key].push_back(inst.id);
+  if (!store.link.empty() && EnvKey(store.link, inst.env, key)) {
+    store.keyed[key].push_back(inst.id);
+    return;
   }
+  inst.scan_pos = store.scan.size();
   store.scan.push_back(inst.id);
 }
 
 void MonitorEngine::RemoveFromStore(const Instance& inst) {
   if (inst.stage < 1 || inst.stage >= property_.num_stages()) return;
   StageStore& store = stores_[inst.stage];
-  auto erase_id = [&](std::vector<std::uint64_t>& v) {
-    auto it = std::find(v.begin(), v.end(), inst.id);
-    if (it != v.end()) {
-      *it = v.back();
-      v.pop_back();
-      return true;
-    }
-    return false;
-  };
-  if (!store.link.empty()) {
-    FlowKey key;
-    bool all_bound = true;
-    for (const auto& [field, var] : store.link) {
-      if (!inst.env[var]) {
-        all_bound = false;
-        break;
-      }
-      key.values.push_back(*inst.env[var]);
-    }
-    if (all_bound) {
-      auto it = store.keyed.find(key);
-      if (it != store.keyed.end()) {
-        erase_id(it->second);
-        if (it->second.empty()) store.keyed.erase(it);
-      }
-      return;
-    }
+  FlowKey key;
+  for (std::size_t i = 0; i < store.extra.size(); ++i)
+    if (EnvKey(store.abort_plan.extra[i], inst.env, key))
+      EraseKeyed(store.extra[i], key, inst.id);
+  if (!store.link.empty() && EnvKey(store.link, inst.env, key)) {
+    EraseKeyed(store.keyed, key, inst.id);
+    return;
   }
-  erase_id(store.scan);
+  // Swap-remove through the back-pointer: the same resulting order as a
+  // find-and-swap, in O(1) — timeout stages file every instance here.
+  const std::uint64_t last = store.scan.back();
+  SWMON_ASSERT(store.scan[inst.scan_pos] == inst.id);
+  store.scan[inst.scan_pos] = last;
+  instances_.find(last)->second.scan_pos = inst.scan_pos;
+  store.scan.pop_back();
 }
 
 std::optional<FlowKey> MonitorEngine::Stage0Key(
@@ -381,39 +396,79 @@ void MonitorEngine::RunNaiveRefreshPass(const DataplaneEvent& ev) {
 
 void MonitorEngine::RunAbortPass(const DataplaneEvent& ev,
                                  std::uint64_t stage_mask) {
+  static const std::vector<std::optional<std::uint64_t>> kNoEnv;
+  const std::uint64_t present = ev.fields.presence_mask();
   for (std::size_t k = 1; k < property_.num_stages(); ++k) {
     if (!(stage_mask >> k & 1)) continue;
     const Stage& st = property_.stages[k];
     if (st.aborts.empty()) continue;
-    // Cheap prefilter: skip stages none of whose aborts can match this
-    // event type.
-    bool type_possible = false;
-    for (const Pattern& a : st.aborts) {
-      if (!a.event_type || *a.event_type == ev.type) {
-        type_possible = true;
-        break;
-      }
-    }
-    if (!type_possible) continue;
+    const StageStore& store = stores_[k];
 
-    std::vector<std::uint64_t> victims;
-    auto consider = [&](std::uint64_t id) {
-      const auto it = instances_.find(id);
-      if (it == instances_.end() || it->second.stage != k) return;
-      ++stats_.candidate_checks;
-      for (const Pattern& a : st.aborts) {
-        if (MatchPattern(a, ev, it->second.env)) {
-          victims.push_back(id);
-          return;
+    // Prefilter (DESIGN.md 5m): type, required presence and the constant
+    // conditions decide each abort for every instance at once.
+    std::vector<std::size_t> live;
+    bool walk = false;
+    for (std::size_t j = 0; j < st.aborts.size(); ++j) {
+      const Pattern& a = st.aborts[j];
+      const AbortPlan& plan = store.abort_plan.aborts[j];
+      if (a.event_type && *a.event_type != ev.type) continue;
+      if ((present & plan.need) != plan.need) continue;
+      bool consts_hold = true;
+      for (const Condition& c : plan.consts) {
+        if (!EvalCondition(c, ev.fields, kNoEnv)) {
+          consts_hold = false;
+          break;
         }
       }
-    };
-    const StageStore& store = stores_[k];
-    for (const auto& [key, bucket] : store.keyed)
-      for (auto id : bucket) consider(id);
-    for (auto id : store.scan) consider(id);
+      if (!consts_hold) continue;
+      live.push_back(j);
+      if (plan.index == kAbortWalk) walk = true;
+    }
+    if (live.empty()) continue;
 
-    // The victim set was gathered in unordered_map bucket order; sort so
+    // Candidates: the union of the surviving aborts' candidate sets, each
+    // instance counted once — the stage-wide walk when any survivor has no
+    // keyable term, otherwise one keyed probe per survivor.
+    std::vector<std::uint64_t> cand;
+    if (walk) {
+      for (const auto& [key, bucket] : store.keyed)
+        cand.insert(cand.end(), bucket.begin(), bucket.end());
+      cand.insert(cand.end(), store.scan.begin(), store.scan.end());
+    } else {
+      FlowKey key;
+      for (const std::size_t j : live) {
+        const AbortPlan& plan = store.abort_plan.aborts[j];
+        key.values.clear();
+        for (const FieldId f : plan.probe)
+          key.values.push_back(ev.fields.GetUnchecked(f));  // in plan.need
+        const KeyedIds& index =
+            plan.index == kLinkIndex
+                ? store.keyed
+                : store.extra[plan.index - kFirstExtraIndex];
+        const auto it = index.find(key);
+        if (it != index.end())
+          cand.insert(cand.end(), it->second.begin(), it->second.end());
+      }
+      if (live.size() > 1) {
+        std::sort(cand.begin(), cand.end());
+        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+      }
+    }
+
+    std::vector<std::uint64_t> victims;
+    for (const std::uint64_t id : cand) {
+      const auto it = instances_.find(id);
+      if (it == instances_.end() || it->second.stage != k) continue;
+      ++stats_.candidate_checks;
+      for (const std::size_t j : live) {
+        if (MatchPattern(st.aborts[j], ev, it->second.env)) {
+          victims.push_back(id);
+          break;
+        }
+      }
+    }
+
+    // The candidates were gathered in unordered_map bucket order; sort so
     // destruction order is deterministic and engine-independent (part of
     // the compiled-vs-interpreted bit-identity contract).
     std::sort(victims.begin(), victims.end());
@@ -433,14 +488,17 @@ void MonitorEngine::RunAdvancePass(const DataplaneEvent& ev,
     const Stage& st = property_.stages[k];
     if (st.kind != StageKind::kEvent) continue;
     if (st.pattern.event_type && *st.pattern.event_type != ev.type) continue;
-
     StageStore& store = stores_[k];
+    // An event missing a required field matches no instance: skip the
+    // stage before the probe (and before counting candidates).
+    if ((ev.fields.presence_mask() & store.need) != store.need) continue;
+
     std::vector<std::uint64_t> candidates;
     if (!store.link.empty()) {
       FlowKey key;
       bool projectable = true;
-      for (const auto& [field, var] : store.link) {
-        const auto v = ev.fields.Get(field);
+      for (const KeyTerm& t : store.link) {
+        const auto v = ev.fields.Get(t.field);
         if (!v) {
           projectable = false;
           break;

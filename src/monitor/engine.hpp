@@ -21,6 +21,8 @@
 // register-friendly layout Sec 3.3 argues for). Instances whose link
 // variables are not yet bound — wandering match — and stages with no link
 // conditions — multiple match — fall back to a per-stage scan list.
+// Aborts probe the same way (monitor/abort_index.hpp): a prefilter first,
+// then the link index or an abort-only index over the abort's own key.
 // bench_store ablates indexed vs. forced-linear lookup.
 #pragma once
 
@@ -34,6 +36,7 @@
 #include "dataplane/flow_key.hpp"
 #include "dataplane/switch.hpp"
 #include "event/timer_set.hpp"
+#include "monitor/abort_index.hpp"
 #include "monitor/property_monitor.hpp"
 #include "monitor/spec.hpp"
 #include "monitor/violation.hpp"
@@ -46,8 +49,9 @@ namespace swmon {
 /// the ablation benches and the store-equivalence tests build MonitorEngine
 /// directly to use them.
 struct InterpreterAblation {
-  /// Disables the link-key index (every lookup scans all instances at the
-  /// stage). Exists for the store ablation bench; semantics are identical.
+  /// Disables the link-key and abort indexes (every lookup scans all
+  /// instances at the stage; abort prefilters stay). Exists for the store
+  /// ablation bench; semantics are identical.
   bool force_linear_store = false;
   /// Unsound on purpose: re-arm a pending timeout-action window whenever
   /// the observation preceding it re-fires. This is the naive semantics
@@ -135,14 +139,24 @@ class MonitorEngine : public PropertyMonitor {
     std::vector<std::optional<std::uint64_t>> env;
     std::uint64_t last_event_seq = 0;  // one advance per event
     std::uint32_t stage_matches = 0;   // toward the stage's min_count
+    std::size_t scan_pos = 0;  // index in its stage's scan list, when there
     std::vector<ProvenanceEvent> history;  // kFull only
   };
 
+  using KeyedIds =
+      std::unordered_map<FlowKey, std::vector<std::uint64_t>, FlowKeyHash>;
+
   /// Per-stage candidate index (see file comment).
   struct StageStore {
-    std::vector<std::pair<FieldId, VarId>> link;  // field == $var conditions
-    std::unordered_map<FlowKey, std::vector<std::uint64_t>, FlowKeyHash> keyed;
+    std::vector<KeyTerm> link;  // field == $var conditions, var-id order
+    std::uint64_t need = 0;     // RequiredPresence of the stage pattern
+    KeyedIds keyed;
     std::vector<std::uint64_t> scan;  // unkeyed / linear-mode instances
+    /// Abort prefilters and probes (DESIGN.md 5m); `extra[i]` is the
+    /// abort-only index over abort_plan.extra[i], holding the instances
+    /// whose key vars are all bound.
+    StageAbortPlan abort_plan;
+    std::vector<KeyedIds> extra;
   };
 
   // --- evaluation ---

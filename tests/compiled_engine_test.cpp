@@ -11,6 +11,7 @@
 // harness originally exposed (repro streams under tests/data/).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -556,6 +557,359 @@ TEST(RegressionTest, RebindRefilesUnderTheNewKey) {
   EXPECT_EQ(EngineStat(*comp, "candidate_checks"), 2u);
 }
 
+// ------------------------------------------------- abort-shape matrix
+//
+// Indexed aborts (DESIGN.md 5m): a prefilter plus a keyed probe replace
+// the per-instance walk. Each shape below runs through the interpreter,
+// the compiled engine and the forced-linear interpreter on fuzz soups; the
+// first two must agree on violations and every counter (candidate_checks
+// included), the linear store on violations and live state. The
+// hand-written streams pin what the index buys: which instances are
+// candidates at all.
+
+Pattern WithCondition(Pattern p, Condition c) {
+  p.conditions.push_back(c);
+  return p;
+}
+
+Condition MaskedEqVar(FieldId f, VarId var, std::uint64_t mask) {
+  Condition c;
+  c.field = f;
+  c.rhs = Term::Var(var);
+  c.mask = mask;
+  return c;
+}
+
+Condition EqVarOrAbsent(FieldId f, VarId var) {
+  Condition c;
+  c.field = f;
+  c.rhs = Term::Var(var);
+  c.allow_absent = true;
+  return c;
+}
+
+/// The ftp-data-port shape: the abort keys (C,S) by (ip_src, ip_dst), the
+/// stage link keys the same vars by (ip_dst, ip_src).
+Property FtpShape() {
+  PropertyBuilder b("shape-ftp", "abort keyed like the link, permuted");
+  const VarId C = b.Var("C"), S = b.Var("S"), D = b.Var("D");
+  b.AddStage("announce")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kFtpMsgKind, 1).Build())
+      .Bind(C, FieldId::kIpSrc)
+      .Bind(S, FieldId::kIpDst)
+      .Bind(D, FieldId::kFtpDataPort);
+  b.AddStage("data to another port")
+      .Match(PatternBuilder::Arrival()
+                 .Eq(FieldId::kIpProto, 6)
+                 .EqVar(FieldId::kIpSrc, S)
+                 .EqVar(FieldId::kIpDst, C)
+                 .NeVar(FieldId::kL4DstPort, D)
+                 .Build())
+      .AbortOn(PatternBuilder::Arrival()
+                   .Eq(FieldId::kFtpMsgKind, 1)
+                   .EqVar(FieldId::kIpSrc, C)
+                   .EqVar(FieldId::kIpDst, S)
+                   .Build());
+  return std::move(b).Build();
+}
+
+/// The dhcp-reply-deadline shape: a timeout stage whose two aborts share
+/// one abort-only index over (M, X).
+Property DhcpShape() {
+  PropertyBuilder b("shape-dhcp", "timeout stage with its own abort key");
+  const VarId M = b.Var("M"), X = b.Var("X");
+  b.AddStage("request")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kDhcpMsgType, 3).Build())
+      .Bind(M, FieldId::kDhcpChaddr)
+      .Bind(X, FieldId::kDhcpXid)
+      .Window(Duration::Millis(200));
+  b.AddTimeoutStage("no answer")
+      .AbortOn(PatternBuilder::Egress()
+                   .Eq(FieldId::kDhcpMsgType, 5)
+                   .EqVar(FieldId::kDhcpChaddr, M)
+                   .EqVar(FieldId::kDhcpXid, X)
+                   .Build())
+      .AbortOn(PatternBuilder::Egress()
+                   .Eq(FieldId::kDhcpMsgType, 6)
+                   .EqVar(FieldId::kDhcpXid, X)
+                   .EqVar(FieldId::kDhcpChaddr, M)
+                   .Build());
+  return std::move(b).Build();
+}
+
+/// Masked and allow_absent EqVar terms are checked, never keyed: the first
+/// abort keys on B alone (the link's var list), the second has no keyable
+/// term and walks.
+Property UnkeyableTermShape() {
+  PropertyBuilder b("shape-unkeyable", "masked / allow_absent abort terms");
+  const VarId A = b.Var("A"), B = b.Var("B");
+  b.AddStage("open")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(A, FieldId::kIpSrc)
+      .Bind(B, FieldId::kIpDst);
+  b.AddStage("reply dropped")
+      .Match(
+          PatternBuilder::Egress().EqVar(FieldId::kIpSrc, B).Dropped().Build())
+      .AbortOn(WithCondition(
+          PatternBuilder::Arrival().EqVar(FieldId::kIpDst, B).Build(),
+          MaskedEqVar(FieldId::kIpSrc, A, 0x6)))
+      .AbortOn(WithCondition(
+          PatternBuilder::Arrival().Eq(FieldId::kInPort, 3).Build(),
+          EqVarOrAbsent(FieldId::kIpSrc, A)));
+  return std::move(b).Build();
+}
+
+/// The stage-1 abort keys on X, which stage 1 itself binds: instances
+/// waiting at stage 1 never have it bound, so they are never candidates.
+/// The stage-2 abort on the same var finds them.
+Property LateBoundVarShape() {
+  PropertyBuilder b("shape-late-var", "abort var bound at a later stage");
+  const VarId A = b.Var("A"), X = b.Var("X");
+  b.AddStage("start")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(A, FieldId::kIpSrc);
+  b.AddStage("bind X")
+      .Match(PatternBuilder::Arrival().EqVar(FieldId::kIpDst, A).Build())
+      .Bind(X, FieldId::kL4SrcPort)
+      .AbortOn(PatternBuilder::Egress().EqVar(FieldId::kL4SrcPort, X).Build());
+  b.AddStage("finish")
+      .Match(PatternBuilder::Egress().EqVar(FieldId::kIpSrc, A).Build())
+      .AbortOn(PatternBuilder::Egress().EqVar(FieldId::kL4SrcPort, X).Build());
+  return std::move(b).Build();
+}
+
+/// Two keyed aborts whose probes can land on one instance (the
+/// fw-until-close shape): the instance is one candidate, not two.
+Property TwoAbortsShape() {
+  PropertyBuilder b("shape-two-aborts", "two aborts, one instance");
+  const VarId A = b.Var("A"), B = b.Var("B");
+  b.AddStage("open")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(A, FieldId::kIpSrc)
+      .Bind(B, FieldId::kIpDst);
+  b.AddStage("return dropped")
+      .Match(PatternBuilder::Egress()
+                 .EqVar(FieldId::kIpSrc, B)
+                 .EqVar(FieldId::kIpDst, A)
+                 .Dropped()
+                 .Build())
+      .AbortOn(PatternBuilder::Arrival()
+                   .EqVar(FieldId::kIpSrc, A)
+                   .EqVar(FieldId::kIpDst, B)
+                   .Eq(FieldId::kIpProto, 6)
+                   .Build())
+      .AbortOn(PatternBuilder::Arrival()
+                   .EqVar(FieldId::kIpSrc, B)
+                   .EqVar(FieldId::kIpDst, A)
+                   .Eq(FieldId::kInPort, 2)
+                   .Build());
+  return std::move(b).Build();
+}
+
+/// A link-down abort with only constant conditions: the stage-wide walk.
+Property ConstOnlyShape() {
+  PropertyBuilder b("shape-const-only", "constant-only abort");
+  const VarId D = b.Var("D");
+  b.AddStage("learned")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(D, FieldId::kEthSrc);
+  b.AddStage("flooded")
+      .Match(PatternBuilder::Egress()
+                 .EqVar(FieldId::kEthDst, D)
+                 .Flooded()
+                 .Build())
+      .AbortOn(PatternBuilder::LinkStatus().Eq(FieldId::kLinkUp, 0).Build());
+  return std::move(b).Build();
+}
+
+/// A Count(3) stage that rebinds its abort's key var B on every match: the
+/// abort index must be re-keyed each time (B is not a link var, so the
+/// abort has its own index).
+Property RebindCountShape() {
+  PropertyBuilder b("shape-rebind-count", "rebinding Count(n) with abort");
+  const VarId A = b.Var("A"), B = b.Var("B");
+  b.AddStage("open")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(A, FieldId::kIpSrc)
+      .Bind(B, FieldId::kIpDst);
+  b.AddStage("three hops")
+      .Match(PatternBuilder::Egress().EqVar(FieldId::kIpSrc, A).Build())
+      .Bind(B, FieldId::kIpDst)
+      .Count(3)
+      .AbortOn(PatternBuilder::Arrival()
+                   .Eq(FieldId::kInPort, 2)
+                   .EqVar(FieldId::kIpDst, B)
+                   .Build());
+  return std::move(b).Build();
+}
+
+std::vector<Property> AbortShapes() {
+  return {FtpShape(),        DhcpShape(),      UnkeyableTermShape(),
+          LateBoundVarShape(), TwoAbortsShape(), ConstOnlyShape(),
+          RebindCountShape()};
+}
+
+struct ShapeRun {
+  std::uint64_t checks = 0;   // candidate_checks
+  std::uint64_t aborted = 0;  // instances_aborted
+};
+
+/// Interpreter, compiled engine and forced-linear interpreter over one
+/// stream; returns the interpreter's (= the compiled engine's) counts.
+ShapeRun RunAbortShape(const Property& prop,
+                       const std::vector<DataplaneEvent>& events,
+                       const std::string& label) {
+  MonitorEngine interp(prop);
+  auto comp = MakeCompiled(prop);
+  InterpreterAblation linear_store;
+  linear_store.force_linear_store = true;
+  MonitorEngine linear(prop, MonitorConfig{}, linear_store);
+  for (const DataplaneEvent& ev : events) {
+    interp.ProcessEvent(ev);
+    comp->ProcessEvent(ev);
+    linear.ProcessEvent(ev);
+  }
+  ExpectEnginesAgree(interp, *comp, label);
+  EXPECT_EQ(interp.live_instances(), linear.live_instances()) << label;
+  EXPECT_EQ(EngineStat(interp, "instances_aborted"),
+            EngineStat(linear, "instances_aborted"))
+      << label;
+  EXPECT_EQ(interp.violations().size(), linear.violations().size()) << label;
+  EXPECT_LE(EngineStat(interp, "candidate_checks"),
+            EngineStat(linear, "candidate_checks"))
+      << label;
+  return {EngineStat(interp, "candidate_checks"),
+          EngineStat(interp, "instances_aborted")};
+}
+
+TEST(AbortShapeTest, EveryShapeAgreesAcrossEnginesOnFuzzSoup) {
+  std::uint64_t aborted = 0;
+  for (const Property& prop : AbortShapes()) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 7u}) {
+      const auto events = FuzzSeedStream(seed, 3000);
+      const std::string label = prop.name + " seed " + std::to_string(seed);
+      aborted += RunAbortShape(prop, events, label).aborted;
+      RunDifferential(prop, MonitorConfig{}, events, label + " +horizon");
+    }
+  }
+  EXPECT_GT(aborted, 0u);  // the soup exercises the aborts at all
+}
+
+TEST(AbortShapeTest, PermutedLinkKeyProbesOneInstance) {
+  using T = DataplaneEventType;
+  std::vector<DataplaneEvent> events;
+  // 40 live announcements, then a superseding PORT for one of them.
+  for (std::uint64_t c = 0; c < 40; ++c)
+    events.push_back(Ev(T::kArrival, static_cast<std::int64_t>(c),
+                        {{FieldId::kFtpMsgKind, 1},
+                         {FieldId::kIpSrc, 100 + c},
+                         {FieldId::kIpDst, 7},
+                         {FieldId::kFtpDataPort, 5000}}));
+  events.push_back(Ev(T::kArrival, 50,
+                      {{FieldId::kFtpMsgKind, 1},
+                       {FieldId::kIpSrc, 105},
+                       {FieldId::kIpDst, 7},
+                       {FieldId::kFtpDataPort, 6000}}));
+  // Not a PORT: fails the prefilter, touches no instance.
+  events.push_back(Ev(T::kArrival, 51,
+                      {{FieldId::kFtpMsgKind, 2},
+                       {FieldId::kIpSrc, 106},
+                       {FieldId::kIpDst, 7}}));
+  const ShapeRun run = RunAbortShape(FtpShape(), events, "ftp");
+  EXPECT_EQ(run.checks, 1u);  // the walk would have examined all 40
+  EXPECT_EQ(run.aborted, 1u);
+}
+
+TEST(AbortShapeTest, TimeoutStageAbortUsesItsOwnIndex) {
+  using T = DataplaneEventType;
+  std::vector<DataplaneEvent> events;
+  for (std::uint64_t m = 0; m < 30; ++m)
+    events.push_back(Ev(T::kArrival, static_cast<std::int64_t>(m),
+                        {{FieldId::kDhcpMsgType, 3},
+                         {FieldId::kDhcpChaddr, m},
+                         {FieldId::kDhcpXid, 9}}));
+  // An egress without a DHCP type never reaches the store; a NAK for one
+  // client probes one bucket.
+  events.push_back(Ev(T::kEgress, 40, {{FieldId::kIpSrc, 1}}));
+  events.push_back(Ev(T::kEgress, 41,
+                      {{FieldId::kDhcpMsgType, 6},
+                       {FieldId::kDhcpChaddr, 4},
+                       {FieldId::kDhcpXid, 9}}));
+  const ShapeRun run = RunAbortShape(DhcpShape(), events, "dhcp");
+  EXPECT_EQ(run.checks, 1u);
+  EXPECT_EQ(run.aborted, 1u);
+}
+
+TEST(AbortShapeTest, UnboundKeyVarIsNeverACandidate) {
+  using T = DataplaneEventType;
+  const std::vector<DataplaneEvent> events = {
+      Ev(T::kArrival, 1, {{FieldId::kInPort, 1}, {FieldId::kIpSrc, 4}}),
+      // Stage-1 abort: X is unbound at stage 1, so no candidate.
+      Ev(T::kEgress, 2, {{FieldId::kL4SrcPort, 80}}),
+      Ev(T::kArrival, 3, {{FieldId::kIpDst, 4}, {FieldId::kL4SrcPort, 80}}),
+      // Stage-2 abort: X = 80 is bound now.
+      Ev(T::kEgress, 4, {{FieldId::kL4SrcPort, 80}})};
+  // One advance candidate (event 3) plus one abort candidate (event 4).
+  const ShapeRun run = RunAbortShape(LateBoundVarShape(), events, "late-var");
+  EXPECT_EQ(run.checks, 2u);
+  EXPECT_EQ(run.aborted, 1u);
+}
+
+TEST(AbortShapeTest, TwoAbortsOnOneInstanceCountItOnce) {
+  using T = DataplaneEventType;
+  const std::vector<DataplaneEvent> events = {
+      Ev(T::kArrival, 1,
+         {{FieldId::kInPort, 1}, {FieldId::kIpSrc, 5}, {FieldId::kIpDst, 5}}),
+      // src == dst: both aborts survive the prefilter and both probes land
+      // on the one instance.
+      Ev(T::kArrival, 2,
+         {{FieldId::kInPort, 2},
+          {FieldId::kIpProto, 6},
+          {FieldId::kIpSrc, 5},
+          {FieldId::kIpDst, 5}})};
+  const ShapeRun run = RunAbortShape(TwoAbortsShape(), events, "two-aborts");
+  EXPECT_EQ(run.checks, 1u);
+  EXPECT_EQ(run.aborted, 1u);
+}
+
+TEST(AbortShapeTest, ConstantOnlyAbortWalksTheStage) {
+  using T = DataplaneEventType;
+  std::vector<DataplaneEvent> events;
+  for (std::uint64_t d = 0; d < 12; ++d)
+    events.push_back(Ev(T::kArrival, static_cast<std::int64_t>(d),
+                        {{FieldId::kInPort, 1}, {FieldId::kEthSrc, d}}));
+  // Link up fails the prefilter; link down walks the stage.
+  events.push_back(Ev(T::kLinkStatus, 20, {{FieldId::kLinkUp, 1}}));
+  events.push_back(Ev(T::kLinkStatus, 21, {{FieldId::kLinkUp, 0}}));
+  const ShapeRun run = RunAbortShape(ConstOnlyShape(), events, "const-only");
+  EXPECT_EQ(run.checks, 12u);
+  EXPECT_EQ(run.aborted, 12u);
+}
+
+TEST(AbortShapeTest, RebindReKeysTheAbortIndex) {
+  using T = DataplaneEventType;
+  const std::vector<DataplaneEvent> events = {
+      Ev(T::kArrival, 1,
+         {{FieldId::kInPort, 1}, {FieldId::kIpSrc, 1}, {FieldId::kIpDst, 10}}),
+      // First of three hops: B rebinds 10 -> 20.
+      Ev(T::kEgress, 2, {{FieldId::kIpSrc, 1}, {FieldId::kIpDst, 20}}),
+      // Keyed on the old B: must find nothing.
+      Ev(T::kArrival, 3, {{FieldId::kInPort, 2}, {FieldId::kIpDst, 10}}),
+      // Keyed on the new B: aborts. An index still filed under B = 10
+      // would miss it, and the two hops below would then violate.
+      Ev(T::kArrival, 4, {{FieldId::kInPort, 2}, {FieldId::kIpDst, 20}}),
+      Ev(T::kEgress, 5, {{FieldId::kIpSrc, 1}, {FieldId::kIpDst, 30}}),
+      Ev(T::kEgress, 6, {{FieldId::kIpSrc, 1}, {FieldId::kIpDst, 40}})};
+  // Advance candidate at event 2, abort candidate at event 4; the engines
+  // agree on the violations, so none in the interpreter means none at all.
+  const ShapeRun run = RunAbortShape(RebindCountShape(), events, "rebind");
+  EXPECT_EQ(run.checks, 2u);
+  EXPECT_EQ(run.aborted, 1u);
+  MonitorEngine interp(RebindCountShape());
+  for (const DataplaneEvent& ev : events) interp.ProcessEvent(ev);
+  EXPECT_TRUE(interp.violations().empty());
+}
+
 // ------------------------------------------------- bytecode sanity
 
 TEST(BytecodeTest, DisassemblyNamesEveryStage) {
@@ -567,6 +921,58 @@ TEST(BytecodeTest, DisassemblyNamesEveryStage) {
   EXPECT_NE(text.find("fw-return-not-dropped"), std::string::npos);
   EXPECT_NE(text.find("match"), std::string::npos);
   EXPECT_NE(text.find("bind"), std::string::npos);
+}
+
+std::string F(FieldId f) { return "f" + std::to_string(static_cast<int>(f)); }
+
+std::string Need(std::initializer_list<FieldId> fields) {
+  std::uint64_t need = 0;
+  for (FieldId f : fields) need |= std::uint64_t{1} << static_cast<int>(f);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "need=0x%llx",
+                static_cast<unsigned long long>(need));
+  return buf;
+}
+
+TEST(BytecodeTest, DisassemblyNamesEachAbortsIndex) {
+  // One line per abort: its key tuple in var order (each var with the
+  // field its probe projects) and which index serves it, or the walk; then
+  // the prefilter's presence mask.
+  using FI = FieldId;
+  const struct {
+    Property prop;
+    std::string line;
+  } cases[] = {
+      {FtpShape(), "key (C=" + F(FI::kIpSrc) + ",S=" + F(FI::kIpDst) +
+                       ") via link index " +
+                       Need({FI::kFtpMsgKind, FI::kIpSrc, FI::kIpDst})},
+      {DhcpShape(), "abort 1 @"},
+      {DhcpShape(), "key (M=" + F(FI::kDhcpChaddr) + ",X=" + F(FI::kDhcpXid) +
+                        ") via abort index 0 " +
+                        Need({FI::kDhcpMsgType, FI::kDhcpXid,
+                              FI::kDhcpChaddr})},
+      {UnkeyableTermShape(), "key (B=" + F(FI::kIpDst) + ") via link index " +
+                                 Need({FI::kIpDst, FI::kIpSrc})},
+      {UnkeyableTermShape(),
+       "scan (no keyable EqVar) " + Need({FI::kInPort})},
+      {LateBoundVarShape(), "key (X=" + F(FI::kL4SrcPort) +
+                                ") via abort index 0 " +
+                                Need({FI::kL4SrcPort}) + " prefilter=none"},
+      {TwoAbortsShape(), "key (A=" + F(FI::kIpDst) + ",B=" + F(FI::kIpSrc) +
+                             ") via link index " +
+                             Need({FI::kIpSrc, FI::kIpDst, FI::kInPort})},
+      {ConstOnlyShape(), "scan (no keyable EqVar) " + Need({FI::kLinkUp})},
+      {RebindCountShape(), "key (B=" + F(FI::kIpDst) + ") via abort index 0 " +
+                               Need({FI::kInPort, FI::kIpDst})},
+  };
+  for (const auto& c : cases) {
+    const auto program = compiled::CompileProperty(c.prop);
+    ASSERT_TRUE(program.has_value());
+    const std::string text = compiled::Disassemble(*program);
+    EXPECT_NE(text.find(c.line), std::string::npos)
+        << c.prop.name << ": missing \"" << c.line << "\" in\n"
+        << text;
+  }
 }
 
 }  // namespace

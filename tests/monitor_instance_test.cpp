@@ -208,6 +208,85 @@ TEST_P(StoreEquivalenceTest, IndexedMatchesLinear) {
             EngineStat(scan, "candidate_checks"));
 }
 
+// The same with aborts (DESIGN.md 5m): one probing the stage's link
+// index, one with its own index over a var the stage rebinds before its
+// Count(2) completes, and a constant-only one that walks the stage. The
+// linear store walks for all three.
+TEST_P(StoreEquivalenceTest, IndexedAbortsMatchLinear) {
+  Rng rng(GetParam());
+  InterpreterAblation linear;
+  linear.force_linear_store = true;
+
+  PropertyBuilder b("equiv-aborts", "firewall shape with obligations");
+  const VarId A = b.Var("A"), B = b.Var("B"), P = b.Var("P");
+  b.AddStage("out")
+      .Match(PatternBuilder::Arrival().Eq(FieldId::kInPort, 1).Build())
+      .Bind(A, FieldId::kIpSrc)
+      .Bind(B, FieldId::kIpDst)
+      .Bind(P, FieldId::kL4SrcPort)
+      .Window(Duration::Millis(500))
+      .RefreshOnRematch();
+  b.AddStage("two drops")
+      .Match(PatternBuilder::Egress()
+                 .EqVar(FieldId::kIpSrc, B)
+                 .EqVar(FieldId::kIpDst, A)
+                 .Dropped()
+                 .Build())
+      .Bind(P, FieldId::kL4DstPort)
+      .Count(2)
+      .AbortOn(PatternBuilder::Arrival()
+                   .Eq(FieldId::kInPort, 2)
+                   .EqVar(FieldId::kIpDst, B)
+                   .EqVar(FieldId::kIpSrc, A)
+                   .Build())
+      .AbortOn(PatternBuilder::Arrival()
+                   .Eq(FieldId::kInPort, 3)
+                   .EqVar(FieldId::kL4SrcPort, P)
+                   .Build())
+      .AbortOn(PatternBuilder::LinkStatus().Eq(FieldId::kLinkUp, 0).Build());
+  Property prop = std::move(b).Build();
+
+  MonitorEngine indexed(prop, MonitorConfig{});
+  MonitorEngine scan(prop, MonitorConfig{}, linear);
+
+  for (int i = 0; i < 600; ++i) {
+    const std::uint64_t src = rng.NextBelow(8), dst = rng.NextBelow(8);
+    DataplaneEvent ev;
+    ev.time = SimTime::Zero() + Duration::Millis(i * 7);
+    const auto roll = rng.NextBelow(20);
+    if (roll == 0) {
+      ev.type = DataplaneEventType::kLinkStatus;
+      ev.fields.Set(FieldId::kLinkUp, rng.NextBelow(2));
+    } else if (roll < 10) {
+      ev.type = DataplaneEventType::kArrival;
+      ev.fields.Set(FieldId::kInPort, 1 + rng.NextBelow(3));
+      ev.fields.Set(FieldId::kIpSrc, src);
+      ev.fields.Set(FieldId::kIpDst, dst);
+      ev.fields.Set(FieldId::kL4SrcPort, rng.NextBelow(4));
+    } else {
+      ev.type = DataplaneEventType::kEgress;
+      ev.fields.Set(FieldId::kIpSrc, src);
+      ev.fields.Set(FieldId::kIpDst, dst);
+      ev.fields.Set(FieldId::kL4DstPort, rng.NextBelow(4));
+      ev.fields.Set(FieldId::kEgressAction,
+                    rng.NextBool(0.5)
+                        ? static_cast<std::uint64_t>(EgressActionValue::kDrop)
+                        : static_cast<std::uint64_t>(
+                              EgressActionValue::kForward));
+    }
+    indexed.ProcessEvent(ev);
+    scan.ProcessEvent(ev);
+    ASSERT_EQ(indexed.live_instances(), scan.live_instances()) << "step " << i;
+    ASSERT_EQ(indexed.violations().size(), scan.violations().size())
+        << "step " << i;
+  }
+  EXPECT_EQ(EngineStat(indexed, "instances_aborted"),
+            EngineStat(scan, "instances_aborted"));
+  EXPECT_GT(EngineStat(indexed, "instances_aborted"), 0u);
+  EXPECT_LE(EngineStat(indexed, "candidate_checks"),
+            EngineStat(scan, "candidate_checks"));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 23, 47));
 
