@@ -300,6 +300,10 @@ telemetry::Snapshot SwmonDaemon::BuildSnapshot() {
                     socket_source_->protocol_errors());
     snap.SetCounter("daemon.socket.decode_errors",
                     socket_source_->decode_errors());
+    snap.SetCounter("daemon.socket.handoffs", socket_source_->handoffs());
+    snap.SetGauge("daemon.socket.queue_high_water",
+                  static_cast<std::int64_t>(
+                      socket_source_->queue_high_water()));
   }
   for (Tenant* t : tenant_order_) t->CollectInto(snap);
   return snap;

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "common/logging.hpp"
@@ -27,16 +27,18 @@ bool SetError(std::string* error, std::string msg) {
   return false;
 }
 
+/// Decimal or 0x-hex u64. Signs, whitespace and out-of-range values are
+/// rejected, not wrapped or saturated.
 bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  const int base =
-      text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')
-          ? 16
-          : 10;
-  char* end = nullptr;
-  const std::string owned(text);
-  *out = std::strtoull(owned.c_str(), &end, base);
-  return end && *end == '\0';
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    base = 16;
+    text.remove_prefix(2);
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Validates a 16-byte SWMT stream/file header; on success the caller
@@ -55,15 +57,19 @@ bool CheckStreamHeader(const std::uint8_t* header, std::string* error) {
 
 }  // namespace
 
-bool ParseEventLine(const std::string& line, DataplaneEvent& out,
+bool ParseEventLine(std::string_view line, DataplaneEvent& out,
                     std::string* error) {
   if (error) error->clear();
-  std::vector<std::string> tokens;
+  std::vector<std::string_view> tokens;
   std::size_t pos = 0;
   while (pos < line.size()) {
-    while (pos < line.size() && std::isspace(line[pos])) ++pos;
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos])))
+      ++pos;
     std::size_t end = pos;
-    while (end < line.size() && !std::isspace(line[end])) ++end;
+    while (end < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[end])))
+      ++end;
     if (end > pos) tokens.push_back(line.substr(pos, end - pos));
     pos = end;
   }
@@ -79,28 +85,31 @@ bool ParseEventLine(const std::string& line, DataplaneEvent& out,
   } else if (tokens[0] == "link") {
     out.type = DataplaneEventType::kLinkStatus;
   } else {
-    return SetError(error, "unknown event type '" + tokens[0] + "'");
+    return SetError(error,
+                    "unknown event type '" + std::string(tokens[0]) + "'");
   }
   std::uint64_t time_ns;
   if (!ParseU64(tokens[1], &time_ns))
-    return SetError(error, "bad timestamp '" + tokens[1] + "'");
+    return SetError(error, "bad timestamp '" + std::string(tokens[1]) + "'");
   out.time = SimTime::FromNanos(static_cast<std::int64_t>(time_ns));
 
   for (std::size_t i = 2; i < tokens.size(); ++i) {
-    const std::string& tok = tokens[i];
+    const std::string_view tok = tokens[i];
     const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos)
-      return SetError(error, "expected key=value, got '" + tok + "'");
-    const std::string key = tok.substr(0, eq);
+    if (eq == std::string_view::npos)
+      return SetError(error,
+                      "expected key=value, got '" + std::string(tok) + "'");
+    const std::string_view key = tok.substr(0, eq);
     std::uint64_t value;
     if (!ParseU64(tok.substr(eq + 1), &value))
-      return SetError(error, "bad value in '" + tok + "'");
+      return SetError(error, "bad value in '" + std::string(tok) + "'");
     if (key == "bytes") {
       out.packet_bytes = static_cast<std::uint32_t>(value);
       continue;
     }
     const auto id = FieldIdByName(key);
-    if (!id) return SetError(error, "unknown field '" + key + "'");
+    if (!id)
+      return SetError(error, "unknown field '" + std::string(key) + "'");
     out.fields.Set(*id, value);
   }
   return true;
@@ -149,11 +158,7 @@ bool TraceTailer::Poll(std::vector<DataplaneEvent>& out) {
     error_ = "read " + path_ + " failed: " + std::strerror(errno);
     return false;
   }
-  DataplaneEvent ev;
-  TraceEventDecoder::Result res;
-  while ((res = decoder_.Next(ev)) == TraceEventDecoder::Result::kEvent)
-    out.push_back(ev);
-  if (res == TraceEventDecoder::Result::kCorrupt) {
+  if (decoder_.DecodeAvailable(out) == TraceEventDecoder::Result::kCorrupt) {
     error_ = path_ + ": " + decoder_.error();
     return false;
   }
@@ -165,6 +170,9 @@ bool TraceTailer::Poll(std::vector<DataplaneEvent>& out) {
 SocketSource::SocketSource(SocketSourceOptions options)
     : options_(std::move(options)) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
+  // Reserved up front, not grown by doubling: growth under mu_ copies the
+  // queue and faults in fresh pages while the pump waits for the lock.
+  queue_.reserve(options_.queue_capacity);
 }
 
 SocketSource::~SocketSource() { Stop(); }
@@ -258,15 +266,31 @@ void SocketSource::AcceptLoop(int listen_fd) {
   }
 }
 
-bool SocketSource::Enqueue(DataplaneEvent ev) {
-  std::unique_lock<std::mutex> lock(mu_);
-  space_cv_.wait(lock, [this] {
-    return queue_.size() < options_.queue_capacity ||
-           stopping_.load(std::memory_order_acquire);
-  });
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  queue_.push_back(std::move(ev));
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
+bool SocketSource::Handoff(std::vector<DataplaneEvent>& batch) {
+  std::size_t done = 0;
+  while (done < batch.size()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    space_cv_.wait(lock, [this] {
+      return queue_.size() < options_.queue_capacity ||
+             stopping_.load(std::memory_order_acquire);
+    });
+    if (stopping_.load(std::memory_order_acquire)) return false;
+    // Hand over what fits: the queue never exceeds its capacity, so a
+    // chunk larger than the free space goes in slices. Copied, not
+    // swapped in: a swap would hand the reader the queue's buffer, and
+    // every connection could then keep one as large as the whole queue.
+    const std::size_t n = std::min(options_.queue_capacity - queue_.size(),
+                                   batch.size() - done);
+    queue_.insert(queue_.end(),
+                  batch.begin() + static_cast<std::ptrdiff_t>(done),
+                  batch.begin() + static_cast<std::ptrdiff_t>(done + n));
+    done += n;
+    handoffs_.fetch_add(1, std::memory_order_relaxed);
+    if (queue_.size() > queue_high_water_.load(std::memory_order_relaxed))
+      queue_high_water_.store(queue_.size(), std::memory_order_relaxed);
+    events_ingested_.fetch_add(n, std::memory_order_relaxed);
+  }
+  batch.clear();
   return true;
 }
 
@@ -277,14 +301,25 @@ void SocketSource::ReadConnection(int fd) {
 
   // Sniff the first bytes: an SWMT header selects the binary trace
   // protocol, anything else is treated as the text line protocol.
-  std::string pending;
+  std::string pending;  // header bytes while sniffing; then text bytes
   TraceEventDecoder decoder;
+  // Every event one recv chunk completes, decoded in place and handed to
+  // the pump in one go; recycled from chunk to chunk.
+  std::vector<DataplaneEvent> batch;
   enum class Mode { kUnknown, kBinary, kText } mode = Mode::kUnknown;
   bool drop = false;
   char chunk[1 << 16];
   ssize_t r;
   while (!drop && (r = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-    pending.append(chunk, static_cast<std::size_t>(r));
+    const auto n = static_cast<std::size_t>(r);
+    // A malformed record ends the connection once the events decoded
+    // before it are handed over.
+    std::string problem;
+    if (mode == Mode::kBinary) {
+      decoder.Feed(reinterpret_cast<const std::uint8_t*>(chunk), n);
+    } else {
+      pending.append(chunk, n);
+    }
     if (mode == Mode::kUnknown) {
       if (pending.size() < 4) {
         if (std::memcmp(pending.data(), kTraceMagic, pending.size()) == 0)
@@ -292,63 +327,54 @@ void SocketSource::ReadConnection(int fd) {
         mode = Mode::kText;
       } else if (std::memcmp(pending.data(), kTraceMagic, 4) == 0) {
         if (pending.size() < kTraceHeaderBytes) continue;
-        std::string header_error;
         if (!CheckStreamHeader(
                 reinterpret_cast<const std::uint8_t*>(pending.data()),
-                &header_error)) {
+                &problem)) {
+          SWMON_LOG_WARN("daemon", "socket: %s", problem.c_str());
           decode_errors_.fetch_add(1, std::memory_order_relaxed);
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
-        pending.erase(0, kTraceHeaderBytes);
+        decoder.Feed(
+            reinterpret_cast<const std::uint8_t*>(pending.data()) +
+                kTraceHeaderBytes,
+            pending.size() - kTraceHeaderBytes);
+        pending.clear();
         mode = Mode::kBinary;
       } else {
         mode = Mode::kText;
       }
     }
     if (mode == Mode::kBinary) {
-      decoder.Feed(reinterpret_cast<const std::uint8_t*>(pending.data()),
-                   pending.size());
-      pending.clear();
-      DataplaneEvent ev;
-      TraceEventDecoder::Result res;
-      while ((res = decoder.Next(ev)) == TraceEventDecoder::Result::kEvent) {
-        if (!Enqueue(std::move(ev))) {
-          drop = true;
+      if (decoder.DecodeAvailable(batch) ==
+          TraceEventDecoder::Result::kCorrupt)
+        problem = "corrupt event stream: " + decoder.error();
+    } else {
+      std::size_t start = 0;
+      std::size_t nl;
+      while ((nl = pending.find('\n', start)) != std::string::npos) {
+        const std::string_view line(pending.data() + start, nl - start);
+        start = nl + 1;
+        std::string line_error;
+        if (ParseEventLine(line, batch.emplace_back(), &line_error)) continue;
+        batch.pop_back();
+        if (!line_error.empty()) {
+          // A malformed line poisons framing — drop the connection.
+          problem = "bad event line: " + line_error;
           break;
         }
       }
-      if (res == TraceEventDecoder::Result::kCorrupt) {
-        SWMON_LOG_WARN("daemon", "socket: corrupt event stream: %s",
-                       decoder.error().c_str());
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        drop = true;
-      }
-    } else {
-      std::size_t nl;
-      while (!drop && (nl = pending.find('\n')) != std::string::npos) {
-        const std::string line = pending.substr(0, nl);
-        pending.erase(0, nl + 1);
-        DataplaneEvent ev;
-        std::string line_error;
-        if (ParseEventLine(line, ev, &line_error)) {
-          if (!Enqueue(std::move(ev))) drop = true;
-        } else if (!line_error.empty()) {
-          SWMON_LOG_WARN("daemon", "socket: bad event line: %s",
-                         line_error.c_str());
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          drop = true;  // a malformed line poisons framing — drop the conn
-        }
-      }
-      if (!drop && pending.size() > kMaxTextLine) {
-        SWMON_LOG_WARN("daemon", "socket: text line exceeds %zu bytes",
-                       kMaxTextLine);
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        drop = true;
-      }
+      pending.erase(0, start);
+      if (problem.empty() && pending.size() > kMaxTextLine)
+        problem = "text line exceeds " + std::to_string(kMaxTextLine) +
+                  " bytes";
+    }
+    if (!batch.empty() && !Handoff(batch)) drop = true;
+    if (!problem.empty()) {
+      SWMON_LOG_WARN("daemon", "socket: %s", problem.c_str());
+      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      drop = true;
     }
   }
   // Clean close with bytes still pending: either a final text line the
@@ -371,10 +397,9 @@ void SocketSource::ReadConnection(int fd) {
         SWMON_LOG_WARN("daemon", "socket: stream closed mid-header");
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        DataplaneEvent ev;
         std::string line_error;
-        if (ParseEventLine(pending, ev, &line_error)) {
-          Enqueue(std::move(ev));
+        if (ParseEventLine(pending, batch.emplace_back(), &line_error)) {
+          Handoff(batch);
         } else if (!line_error.empty()) {
           SWMON_LOG_WARN("daemon", "socket: bad final event line: %s",
                          line_error.c_str());
@@ -391,13 +416,20 @@ void SocketSource::ReadConnection(int fd) {
 }
 
 bool SocketSource::Poll(std::vector<DataplaneEvent>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!queue_.empty()) {
-    out.insert(out.end(), std::make_move_iterator(queue_.begin()),
-               std::make_move_iterator(queue_.end()));
-    queue_.clear();
-    space_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) return true;
+    if (out.empty()) {
+      // The pump's drained round buffer becomes the next queue; after
+      // the first swap both buffers hold the full reservation.
+      out.swap(queue_);
+      queue_.reserve(options_.queue_capacity);
+    } else {
+      out.insert(out.end(), queue_.begin(), queue_.end());
+      queue_.clear();
+    }
   }
+  space_cv_.notify_all();
   return true;
 }
 

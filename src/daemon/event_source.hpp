@@ -15,10 +15,16 @@
 //     header followed by wire-encoded events, so `cat trace.swmt | nc`
 //     works unmodified — or (b) a newline-delimited text protocol
 //     (`arrival <time_ns> [key=value]...`) for hand-driven testing.
-//     Reader threads decode and queue; the daemon's pump thread drains via
-//     Poll(). The queue is bounded: a producer faster than the monitors
-//     blocks its connection (TCP backpressure) instead of growing daemon
-//     memory.
+//     Each connection's reader thread decodes a whole recv chunk into its
+//     own batch and hands the batch to the queue under one lock; the
+//     daemon's pump thread drains the queue via Poll(), which swaps
+//     vectors rather than copying when the caller's is empty. The queue is
+//     bounded: a producer faster than the monitors blocks its connection
+//     (TCP backpressure) instead of growing daemon memory, and a chunk
+//     that does not fit goes in slices, so the queue never holds more
+//     than queue_capacity events. Events from concurrent connections
+//     interleave at handoff (chunk or slice) granularity; each
+//     connection's own order is kept.
 //
 // Both sources present one contract: Poll(out) appends any newly available
 // events and returns false only when the source is permanently finished
@@ -28,10 +34,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,10 +59,11 @@ class EventSource {
 };
 
 /// Parses one text-protocol line: `<type> <time_ns> [bytes=<n>]
-/// [<field>=<value>]...`, type in {arrival, egress, link}; values decimal
-/// or 0x-hex; field names as printed by FieldName(). Empty lines and
+/// [<field>=<value>]...`, type in {arrival, egress, link}; values unsigned
+/// 64-bit, decimal or 0x-hex (a sign or an out-of-range value is an
+/// error); field names as printed by FieldName(). Empty lines and
 /// `#`-comments yield false with empty error.
-bool ParseEventLine(const std::string& line, DataplaneEvent& out,
+bool ParseEventLine(std::string_view line, DataplaneEvent& out,
                     std::string* error);
 
 class TraceTailer : public EventSource {
@@ -92,8 +99,13 @@ struct SocketSourceOptions {
   std::uint16_t tcp_port = 0;
   /// Listen on this Unix socket path when non-empty.
   std::string unix_path;
-  /// Decoded events buffered between Poll()s before readers block.
-  std::size_t queue_capacity = 1 << 16;
+  /// Decoded events buffered between Poll()s before readers block (an
+  /// exact bound: a reader hands over only what fits). Poll() hands the
+  /// pump the whole queue, so this is also the largest round it sees; the
+  /// default matches SwmondOptions::max_round_events. The queue and the
+  /// buffer Poll() swaps in are each reserved at this size once, so
+  /// ingest touches at most two such buffers (~2.6 MB each by default).
+  std::size_t queue_capacity = 8192;
 };
 
 class SocketSource : public EventSource {
@@ -127,13 +139,24 @@ class SocketSource : public EventSource {
   std::uint64_t decode_errors() const {
     return decode_errors_.load(std::memory_order_relaxed);
   }
+  /// Reader-to-queue handoffs, one per recv chunk that decoded events
+  /// (more when backpressure splits a chunk): events_ingested() /
+  /// handoffs() is the ingest batch size.
+  std::uint64_t handoffs() const {
+    return handoffs_.load(std::memory_order_relaxed);
+  }
+  /// Most events the queue has held at once; never above queue_capacity.
+  std::uint64_t queue_high_water() const {
+    return queue_high_water_.load(std::memory_order_relaxed);
+  }
 
  private:
   void AcceptLoop(int listen_fd);
   void ReadConnection(int fd);
-  /// Blocks while the queue is at capacity (ingest backpressure). Returns
+  /// Copies `batch` into the queue, in slices that fit, blocking while the
+  /// queue is full (ingest backpressure); leaves `batch` empty. Returns
   /// false when the source is stopping.
-  bool Enqueue(DataplaneEvent ev);
+  bool Handoff(std::vector<DataplaneEvent>& batch);
 
   SocketSourceOptions options_;
   std::string name_ = "socket";
@@ -148,7 +171,7 @@ class SocketSource : public EventSource {
 
   std::mutex mu_;
   std::condition_variable space_cv_;
-  std::deque<DataplaneEvent> queue_;
+  std::vector<DataplaneEvent> queue_;        // guarded by mu_
   std::vector<int> connection_fds_;          // guarded by mu_
   std::vector<std::thread> reader_threads_;  // guarded by mu_
 
@@ -156,6 +179,8 @@ class SocketSource : public EventSource {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> decode_errors_{0};
+  std::atomic<std::uint64_t> handoffs_{0};
+  std::atomic<std::uint64_t> queue_high_water_{0};  // written under mu_
 };
 
 }  // namespace swmon

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/byte_io.hpp"
@@ -34,16 +35,36 @@ bool SetError(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Decodes one event from `r`. Returns kEvent/kNeedMore/kCorrupt exactly
-/// like the incremental decoder — LoadTrace treats kNeedMore as truncation.
-TraceEventDecoder::Result DecodeOneEvent(ByteReader& r, DataplaneEvent& out,
+std::uint32_t LoadU32LE(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native != std::endian::little)
+    v = __builtin_bswap32(v);
+  return v;
+}
+
+std::uint64_t LoadU64LE(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native != std::endian::little)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+/// Decodes the event at the front of `in` into `out`, which must hold a
+/// value-initialized DataplaneEvent: only the present fields are written.
+/// On kEvent `*used` is the record's length. Returns kEvent/kNeedMore/
+/// kCorrupt exactly like the incremental decoder — LoadTrace treats
+/// kNeedMore as truncation.
+TraceEventDecoder::Result DecodeOneEvent(std::span<const std::uint8_t> in,
+                                         DataplaneEvent& out,
+                                         std::size_t* used,
                                          std::string* error) {
   using Result = TraceEventDecoder::Result;
-  if (r.remaining() < kEventFixedBytes) return Result::kNeedMore;
-  const std::uint8_t type = r.ReadU8();
-  const std::uint64_t time_ns = r.ReadU64LE();
-  const std::uint32_t packet_bytes = r.ReadU32LE();
-  const std::uint64_t presence = r.ReadU64LE();
+  if (in.size() < kEventFixedBytes) return Result::kNeedMore;
+  const std::uint8_t* p = in.data();
+  const std::uint8_t type = p[0];
+  const std::uint64_t presence = LoadU64LE(p + 13);
   if (type > static_cast<std::uint8_t>(DataplaneEventType::kLinkStatus)) {
     SetError(error, "corrupt event type");
     return Result::kCorrupt;
@@ -52,17 +73,20 @@ TraceEventDecoder::Result DecodeOneEvent(ByteReader& r, DataplaneEvent& out,
     SetError(error, "corrupt presence mask");
     return Result::kCorrupt;
   }
-  const std::size_t n_fields =
-      static_cast<std::size_t>(std::popcount(presence));
-  if (r.remaining() < n_fields * 8) return Result::kNeedMore;
-  out = DataplaneEvent{};
+  const std::size_t size =
+      kEventFixedBytes + 8 * static_cast<std::size_t>(std::popcount(presence));
+  if (in.size() < size) return Result::kNeedMore;
   out.type = static_cast<DataplaneEventType>(type);
-  out.time = SimTime::FromNanos(static_cast<std::int64_t>(time_ns));
-  out.packet_bytes = packet_bytes;
-  for (std::size_t fi = 0; fi < kNumFieldIds; ++fi) {
-    if (!(presence >> fi & 1)) continue;
-    out.fields.Set(static_cast<FieldId>(fi), r.ReadU64LE());
+  out.time = SimTime::FromNanos(static_cast<std::int64_t>(LoadU64LE(p + 1)));
+  out.packet_bytes = LoadU32LE(p + 9);
+  // Values follow in ascending FieldId order: walk the set bits only.
+  const std::uint8_t* value = p + kEventFixedBytes;
+  for (std::uint64_t bits = presence; bits != 0; bits &= bits - 1) {
+    out.fields.Set(static_cast<FieldId>(std::countr_zero(bits)),
+                   LoadU64LE(value));
+    value += 8;
   }
+  *used = size;
   return Result::kEvent;
 }
 
@@ -79,11 +103,11 @@ void EncodeTraceEvent(ByteWriter& w, const DataplaneEvent& ev) {
   w.WriteU8(static_cast<std::uint8_t>(ev.type));
   w.WriteU64LE(static_cast<std::uint64_t>(ev.time.nanos()));
   w.WriteU32LE(ev.packet_bytes);
-  w.WriteU64LE(ev.fields.presence_mask());
-  for (std::size_t i = 0; i < kNumFieldIds; ++i) {
-    const auto id = static_cast<FieldId>(i);
-    if (ev.fields.Has(id)) w.WriteU64LE(ev.fields.GetUnchecked(id));
-  }
+  const std::uint64_t presence = ev.fields.presence_mask();
+  w.WriteU64LE(presence);
+  for (std::uint64_t bits = presence; bits != 0; bits &= bits - 1)
+    w.WriteU64LE(
+        ev.fields.GetUnchecked(static_cast<FieldId>(std::countr_zero(bits))));
 }
 
 // --------------------------------------------------- TraceEventDecoder
@@ -94,25 +118,51 @@ void TraceEventDecoder::Feed(const std::uint8_t* data, std::size_t n) {
 
 TraceEventDecoder::Result TraceEventDecoder::Next(DataplaneEvent& out) {
   if (corrupt_) return Result::kCorrupt;
-  ByteReader r(std::span<const std::uint8_t>(buf_.data() + pos_,
-                                             buf_.size() - pos_));
-  const Result res = DecodeOneEvent(r, out, &error_);
+  out = DataplaneEvent{};
+  std::size_t used = 0;
+  const Result res = DecodeOneEvent(
+      std::span<const std::uint8_t>(buf_.data() + pos_, buf_.size() - pos_),
+      out, &used, &error_);
   if (res == Result::kCorrupt) {
     corrupt_ = true;
     return res;
   }
   if (res == Result::kEvent) {
-    pos_ += r.position();
+    pos_ += used;
     ++events_decoded_;
     // Drop the consumed prefix once it dominates the buffer, so a
-    // long-lived stream never accretes decoded bytes (the daemon's
-    // resident path runs through here for every ingested event).
+    // long-lived stream never accretes decoded bytes.
     if (pos_ > (1u << 16) && pos_ * 2 > buf_.size()) {
       buf_.erase(buf_.begin(),
                  buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
       pos_ = 0;
     }
   }
+  return res;
+}
+
+TraceEventDecoder::Result TraceEventDecoder::DecodeAvailable(
+    std::vector<DataplaneEvent>& out) {
+  if (corrupt_) return Result::kCorrupt;
+  Result res = Result::kNeedMore;
+  for (;;) {
+    DataplaneEvent& slot = out.emplace_back();
+    std::size_t used = 0;
+    res = DecodeOneEvent(
+        std::span<const std::uint8_t>(buf_.data() + pos_, buf_.size() - pos_),
+        slot, &used, &error_);
+    if (res != Result::kEvent) {
+      out.pop_back();
+      break;
+    }
+    pos_ += used;
+    ++events_decoded_;
+  }
+  if (res == Result::kCorrupt) corrupt_ = true;
+  // At most one partial record (< 320 bytes) is left: compact now, so the
+  // next Feed appends to an almost empty buffer.
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  pos_ = 0;
   return res;
 }
 
@@ -212,12 +262,17 @@ bool LoadTrace(const std::string& path, TraceRecorder& out,
   const std::uint64_t count = r.ReadU64LE();
   if (!r.ok()) return SetError(error, "truncated header");
 
+  std::size_t pos = r.position();
   for (std::uint64_t i = 0; i < count; ++i) {
     DataplaneEvent ev;
+    std::size_t used = 0;
     std::string decode_error;
-    switch (DecodeOneEvent(r, ev, &decode_error)) {
+    switch (DecodeOneEvent(
+        std::span<const std::uint8_t>(buf.data() + pos, buf.size() - pos), ev,
+        &used, &decode_error)) {
       case TraceEventDecoder::Result::kEvent:
         out.OnDataplaneEvent(ev);
+        pos += used;
         break;
       case TraceEventDecoder::Result::kNeedMore:
         return SetError(error, "truncated event");

@@ -58,6 +58,12 @@ class TraceEventDecoder {
   /// Tries to decode one event from the pending bytes.
   Result Next(DataplaneEvent& out);
 
+  /// Decodes every complete pending event, constructing each in place at
+  /// the end of `out`. Returns kNeedMore once the pending bytes hold no
+  /// further complete event, or kCorrupt (terminal) at the first invalid
+  /// record; the events before it are appended either way.
+  Result DecodeAvailable(std::vector<DataplaneEvent>& out);
+
   const std::string& error() const { return error_; }
   std::size_t pending_bytes() const { return buf_.size() - pos_; }
   std::uint64_t events_decoded() const { return events_decoded_; }

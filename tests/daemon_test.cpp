@@ -134,6 +134,15 @@ TEST(ParseEventLineTest, RejectsBadInput) {
   EXPECT_FALSE(ParseEventLine("arrival xyz", ev, &error));
   EXPECT_FALSE(ParseEventLine("arrival 100 nosuchfield=1", ev, &error));
   EXPECT_FALSE(ParseEventLine("arrival 100 ip_src", ev, &error));
+  // Unsigned only: a sign or an out-of-range value is an error, not a
+  // wrapped or saturated number.
+  EXPECT_FALSE(ParseEventLine("arrival -5", ev, &error));
+  EXPECT_FALSE(ParseEventLine("arrival 100 ip_src=-1", ev, &error));
+  EXPECT_FALSE(ParseEventLine("arrival 100 ip_src=+1", ev, &error));
+  EXPECT_FALSE(ParseEventLine("arrival 100 ip_src=0x-3", ev, &error));
+  EXPECT_FALSE(ParseEventLine("arrival 99999999999999999999999", ev, &error));
+  EXPECT_FALSE(
+      ParseEventLine("arrival 100 ip_src=0x10000000000000000", ev, &error));
 }
 
 // ---------------------------------------------------------------- decoder
@@ -337,6 +346,106 @@ TEST(SocketSourceCorruptionTest, OversizedTextLineIsRejectedNotBuffered) {
   src.Poll(out);
   EXPECT_TRUE(out.empty());
   src.Stop();
+}
+
+// ------------------------------------------------ per-chunk handoff
+
+/// `n` events from `ip_src`, times t0, t0+1, ... (37 wire bytes each).
+std::vector<DataplaneEvent> NumberedEvents(std::size_t n, std::uint64_t ip_src,
+                                           std::int64_t t0 = 1) {
+  std::vector<DataplaneEvent> events;
+  for (std::size_t i = 0; i < n; ++i)
+    events.push_back(MakeEvent(t0 + static_cast<std::int64_t>(i), ip_src,
+                               80 + i % 2));
+  return events;
+}
+
+TEST(SocketSourceHandoffTest, SmallQueueTakesALargeBurstCompleteAndInOrder) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  opts.queue_capacity = 4;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  constexpr std::size_t kEvents = 2000;  // 74 KB on the wire
+  const std::string payload = BinaryStreamPayload(NumberedEvents(kEvents, 7));
+  ASSERT_GE(payload.size(), 64u * 1024);
+  // Backpressure blocks the reader at 4 queued events, and then the
+  // sender: send from another thread while this one drains.
+  bool sent = false;
+  std::thread sender([&] { sent = SendToTcp(src.tcp_port(), payload); });
+  const auto out = PollUntil(src, kEvents);
+  sender.join();
+  EXPECT_TRUE(sent);
+  ASSERT_EQ(out.size(), kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i)
+    ASSERT_EQ(out[i].time.nanos(), static_cast<std::int64_t>(i + 1)) << i;
+  EXPECT_LE(src.queue_high_water(), 4u);
+  EXPECT_GE(src.handoffs(), kEvents / 4);  // exact bound: slices of <= 4
+  EXPECT_EQ(src.events_ingested(), kEvents);
+  src.Stop();
+}
+
+TEST(SocketSourceHandoffTest, ConcurrentConnectionsKeepTheirOwnOrder) {
+  SocketSourceOptions opts;
+  opts.tcp_enabled = true;
+  SocketSource src(opts);
+  std::string error;
+  ASSERT_TRUE(src.Start(&error)) << error;
+
+  constexpr std::size_t kEach = 20000;
+  const std::string a = BinaryStreamPayload(NumberedEvents(kEach, 1));
+  const std::string b = BinaryStreamPayload(NumberedEvents(kEach, 2));
+  bool sent_a = false, sent_b = false;
+  std::thread ta([&] { sent_a = SendToTcp(src.tcp_port(), a); });
+  std::thread tb([&] { sent_b = SendToTcp(src.tcp_port(), b); });
+  const auto out = PollUntil(src, 2 * kEach);
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(sent_a && sent_b);
+  ASSERT_EQ(out.size(), 2 * kEach);
+
+  // Each connection's events arrive in its own order...
+  std::int64_t next[3] = {0, 1, 1};
+  std::uint64_t runs = 0;
+  std::uint64_t last_src = 0;
+  for (const DataplaneEvent& ev : out) {
+    const std::uint64_t ip = *ev.fields.Get(FieldId::kIpSrc);
+    ASSERT_TRUE(ip == 1 || ip == 2);
+    ASSERT_EQ(ev.time.nanos(), next[ip]++) << "connection " << ip;
+    if (ip != last_src) ++runs;
+    last_src = ip;
+  }
+  // ...and the two interleave only at handoff boundaries: a run of one
+  // connection's events is at least one whole handoff.
+  EXPECT_LE(runs, src.handoffs());
+  src.Stop();
+}
+
+TEST(SocketSourceHandoffTest, BulkSendHandsOffPerChunkInDaemonTelemetry) {
+  SwmondOptions opts;
+  opts.tcp_enabled = true;
+  SwmonDaemon daemon(std::move(opts));
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  constexpr std::size_t kEvents = 20000;  // ~740 KB in one send loop
+  ASSERT_TRUE(SendToTcp(daemon.tcp_port(),
+                        BinaryStreamPayload(NumberedEvents(kEvents, 3))));
+  WaitForIngest(daemon, kEvents);
+  ASSERT_EQ(daemon.events_ingested(), kEvents);
+  const telemetry::Snapshot snap = daemon.Telemetry();
+  const std::uint64_t handoffs = snap.counter("daemon.socket.handoffs");
+  // One handoff per recv chunk (up to 64 KiB, ~1770 of these events), not
+  // one per event; allow for short reads when the reader outruns the
+  // sender.
+  EXPECT_GE(handoffs, 1u);
+  EXPECT_LE(handoffs * 8, kEvents) << handoffs << " handoffs";
+  EXPECT_GE(snap.gauge("daemon.socket.queue_high_water"), 1);
+  EXPECT_LE(snap.gauge("daemon.socket.queue_high_water"),
+            static_cast<std::int64_t>(SocketSourceOptions{}.queue_capacity));
+  daemon.Stop();
 }
 
 // ----------------------------------------------------------------- tailer
